@@ -2,12 +2,16 @@
 //!
 //! The crate supplies the daemon's event-driven connection layer: an
 //! `epoll(7)`-based readiness loop ([`serve`]) owning every connection on
-//! one reactor thread, incremental HTTP/1.1 request framing
+//! one reactor thread, incremental HTTP/1.1 request framing and parsing
 //! ([`RequestFramer`]) with head/body size limits and idle/slow-loris
-//! reaping, a pluggable [`Dispatcher`] that answers each framed request
-//! with an [`Action`] (respond inline, stream an [`EventStream`], or
-//! defer blocking work to an auxiliary pool), and a self-pipe [`Waker`]
-//! so producers on any thread can nudge the loop.
+//! reaping, a pluggable [`Dispatcher`] that answers each parsed
+//! [`Request`] with an [`Action`] (respond inline, stream an
+//! [`EventStream`], or defer blocking work to an auxiliary pool), and a
+//! self-pipe [`Waker`] so producers on any thread can nudge the loop.
+//!
+//! It is also the workspace's only HTTP/1.1 codec: one head writer
+//! ([`response_head`], [`request_head`]), [`Response`], [`parse_response`]
+//! and the one blocking client, [`fetch`].
 //!
 //! Like the `mmap(2)` wrapper in `smrseek-trace`, the raw syscalls are
 //! declared in [`sys`] instead of pulling in `libc`/`mio`: the workspace
@@ -16,12 +20,14 @@
 pub mod sys;
 
 mod conn;
+mod http;
 mod poller;
 mod reactor;
 mod stream;
 mod wake;
 
-pub use conn::{FrameStatus, FramingLimits, RequestFramer};
+pub use conn::{FrameStatus, FramingLimits, Request, RequestFramer};
+pub use http::{fetch, parse_response, request_head, response_head, FetchError, Reply, Response};
 pub use poller::{Event, Interest, Poller};
 pub use reactor::{serve, Action, Dispatcher, LoopStats, NetConfig, NetHandle};
 pub use stream::EventStream;

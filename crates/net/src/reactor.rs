@@ -18,7 +18,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use crate::conn::{FrameStatus, FramingLimits, RequestFramer};
+use crate::conn::{FrameStatus, FramingLimits, Request, RequestFramer};
+use crate::http::Response;
 use crate::poller::{Event, Interest, Poller};
 use crate::stream::EventStream;
 use crate::wake::Waker;
@@ -72,21 +73,24 @@ pub enum Action {
 
 /// Decides how each complete request is answered.
 ///
-/// Implemented for any `Fn(Vec<u8>) -> Action`. The argument is the raw
-/// request bytes exactly as framed (head + body); the dispatcher is
-/// expected to parse them with its own HTTP parser. Runs on the reactor
+/// Implemented for any `Fn(Result<Request, String>) -> Action`. The
+/// argument is the request the framer parsed, or — when its request line
+/// is malformed or names a version other than HTTP/1.x — the reason, for
+/// the dispatcher to answer with a 400 of its own. Framing failures
+/// (oversized head or body, unusable `Content-Length`) never reach the
+/// dispatcher; the reactor answers them itself. Runs on the reactor
 /// thread, so inline work must be quick — use [`Action::Defer`] otherwise.
 pub trait Dispatcher: Send + Sync + 'static {
     /// Handles one framed request.
-    fn dispatch(&self, raw: Vec<u8>) -> Action;
+    fn dispatch(&self, request: Result<Request, String>) -> Action;
 }
 
 impl<F> Dispatcher for F
 where
-    F: Fn(Vec<u8>) -> Action + Send + Sync + 'static,
+    F: Fn(Result<Request, String>) -> Action + Send + Sync + 'static,
 {
-    fn dispatch(&self, raw: Vec<u8>) -> Action {
-        self(raw)
+    fn dispatch(&self, request: Result<Request, String>) -> Action {
+        self(request)
     }
 }
 
@@ -264,6 +268,12 @@ enum FlushOutcome {
     Gone,
 }
 
+/// The listener's accept queue. `std` listens with a backlog of 128, so
+/// a burst of that many simultaneous connects overflows it and the
+/// dropped SYNs wait out the ~1 s retransmit. The kernel caps the value
+/// at `net.core.somaxconn`.
+const LISTEN_BACKLOG: i32 = 1024;
+
 const TOKEN_LISTENER: u64 = 0;
 const TOKEN_WAKER: u64 = 1;
 const FIRST_CONN: u64 = 2;
@@ -386,7 +396,6 @@ impl Reactor {
         };
         if ev.closed {
             // Hard error/hangup: nothing more can be exchanged.
-            let _ = conn;
             self.close(slot);
             return;
         }
@@ -423,21 +432,12 @@ impl Reactor {
                     };
                     match status {
                         FrameStatus::Partial => continue,
-                        FrameStatus::Complete(raw) => {
-                            self.dispatch(slot, raw);
+                        FrameStatus::Complete(request) => {
+                            self.dispatch(slot, request);
                             return;
                         }
-                        FrameStatus::Oversized(msg) => {
-                            let status = if msg.contains("head") { 431 } else { 413 };
-                            let bytes = framing_response(status, msg);
-                            self.settle_dispatch(slot);
-                            self.set_response(slot, bytes);
-                            return;
-                        }
-                        FrameStatus::Malformed(msg) => {
-                            let bytes = framing_response(400, msg);
-                            self.settle_dispatch(slot);
-                            self.set_response(slot, bytes);
+                        FrameStatus::Refused(status, msg) => {
+                            self.refuse(slot, status, msg);
                             return;
                         }
                     }
@@ -462,10 +462,18 @@ impl Reactor {
         self.set_interest(slot, Interest::NONE);
     }
 
-    fn dispatch(&mut self, slot: usize, raw: Vec<u8>) {
+    fn dispatch(&mut self, slot: usize, request: Result<Request, String>) {
         self.settle_dispatch(slot);
-        let action = self.dispatcher.dispatch(raw);
+        let action = self.dispatcher.dispatch(request);
         self.apply_action(slot, action);
+    }
+
+    /// Answers a request that could not be framed with a minimal JSON
+    /// error, without consulting the dispatcher.
+    fn refuse(&mut self, slot: usize, status: u16, message: &str) {
+        let response = Response::json(status, format!("{{\"error\":\"{message}\"}}"));
+        self.settle_dispatch(slot);
+        self.set_response(slot, response.into_bytes());
     }
 
     fn on_completion(&mut self, slot: usize, gen: u64, action: Action) {
@@ -658,23 +666,6 @@ impl Reactor {
     }
 }
 
-/// Minimal JSON error response for framing-level failures, written without
-/// consulting the dispatcher (the request never became parseable).
-fn framing_response(status: u16, message: &str) -> Vec<u8> {
-    let reason = match status {
-        400 => "Bad Request",
-        413 => "Payload Too Large",
-        431 => "Request Header Fields Too Large",
-        _ => "Error",
-    };
-    let body = format!("{{\"error\":\"{message}\"}}");
-    format!(
-        "HTTP/1.1 {status} {reason}\r\ncontent-type: application/json\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{body}",
-        body.len()
-    )
-    .into_bytes()
-}
-
 /// A running reactor. Dropping it (or calling [`shutdown`]) stops the
 /// loop, closes every connection, and joins the reactor + aux threads.
 ///
@@ -726,13 +717,18 @@ impl Drop for NetHandle {
 
 /// Starts a reactor serving `listener` with `dispatcher`.
 ///
-/// The listener is switched to nonblocking mode and handed to a dedicated
-/// reactor thread; the returned handle stops it.
+/// The listener's accept queue is enlarged to [`LISTEN_BACKLOG`], it is
+/// switched to nonblocking mode and handed to a dedicated reactor thread;
+/// the returned handle stops it.
 pub fn serve(
     listener: TcpListener,
     dispatcher: Arc<dyn Dispatcher>,
     config: NetConfig,
 ) -> io::Result<NetHandle> {
+    // SAFETY: plain syscall on a live fd owned by `listener`.
+    if unsafe { crate::sys::listen(listener.as_raw_fd(), LISTEN_BACKLOG) } != 0 {
+        return Err(io::Error::last_os_error());
+    }
     listener.set_nonblocking(true)?;
     let local_addr = listener.local_addr()?;
     let poller = Poller::new()?;

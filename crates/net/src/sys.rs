@@ -1,10 +1,10 @@
 //! Minimal raw syscall declarations for the readiness loop.
 //!
 //! The workspace builds with vendored stand-ins only, so — like the
-//! `mmap(2)` wrapper in `smrseek-trace` — the epoll and pipe syscalls are
-//! declared here instead of pulling in `libc`/`mio`. The declarations are
-//! Linux-shaped; the crate is only built on the Linux hosts the daemon
-//! targets.
+//! `mmap(2)` wrapper in `smrseek-trace` — the epoll, pipe and listen
+//! syscalls are declared here instead of pulling in `libc`/`mio`. The
+//! declarations are Linux-shaped; the crate is only built on the Linux
+//! hosts the daemon targets.
 
 use std::ffi::c_void;
 
@@ -60,4 +60,7 @@ extern "C" {
     pub fn write(fd: i32, buf: *const c_void, count: usize) -> isize;
     /// `close(2)`: releases the epoll and pipe fds.
     pub fn close(fd: i32) -> i32;
+    /// `listen(2)`: on an already-listening socket, resizes its queue of
+    /// completed connections waiting for `accept(2)`.
+    pub fn listen(sockfd: i32, backlog: i32) -> i32;
 }

@@ -6,14 +6,21 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
-use smrseek_net::{serve, Action, EventStream, FramingLimits, NetConfig, NetHandle};
+use smrseek_net::{
+    serve, Action, EventStream, FramingLimits, NetConfig, NetHandle, Request, Response,
+};
 
 fn response_bytes(body: &str) -> Vec<u8> {
-    format!(
-        "HTTP/1.1 200 OK\r\ncontent-type: text/plain\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{body}",
-        body.len()
-    )
-    .into_bytes()
+    Response::text(200, body).into_bytes()
+}
+
+/// What the echo dispatchers answer: the parsed request line and body
+/// length, or the reason the request line was refused.
+fn describe(request: &Result<Request, String>) -> String {
+    match request {
+        Ok(req) => format!("{} {} body={}", req.method, req.target, req.body.len()),
+        Err(msg) => msg.clone(),
+    }
 }
 
 fn quick_config() -> NetConfig {
@@ -25,12 +32,14 @@ fn quick_config() -> NetConfig {
     }
 }
 
-/// Starts a reactor whose dispatcher echoes the raw request length.
+/// Starts a reactor whose dispatcher echoes what it was handed.
 fn echo_server(config: NetConfig) -> NetHandle {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     serve(
         listener,
-        Arc::new(|raw: Vec<u8>| Action::Respond(response_bytes(&format!("len={}", raw.len())))),
+        Arc::new(|request: Result<Request, String>| {
+            Action::Respond(response_bytes(&describe(&request)))
+        }),
         config,
     )
     .expect("serve")
@@ -47,10 +56,9 @@ fn roundtrip(handle: &NetHandle, request: &[u8]) -> String {
 #[test]
 fn inline_respond_roundtrip() {
     let handle = echo_server(quick_config());
-    let req = b"GET / HTTP/1.1\r\n\r\n";
-    let resp = roundtrip(&handle, req);
+    let resp = roundtrip(&handle, b"GET / HTTP/1.1\r\n\r\n");
     assert!(resp.starts_with("HTTP/1.1 200 OK\r\n"), "got: {resp}");
-    assert!(resp.ends_with(&format!("len={}", req.len())), "got: {resp}");
+    assert!(resp.ends_with("\r\n\r\nGET / body=0"), "got: {resp}");
     assert_eq!(handle.stats().accepted.load(Ordering::Relaxed), 1);
     handle.shutdown();
 }
@@ -60,18 +68,18 @@ fn deferred_respond_roundtrip() {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let handle = serve(
         listener,
-        Arc::new(|raw: Vec<u8>| {
+        Arc::new(|request: Result<Request, String>| {
             Action::Defer(Box::new(move || {
                 // Simulates blocking work off the reactor thread.
                 std::thread::sleep(Duration::from_millis(20));
-                Action::Respond(response_bytes(&format!("deferred len={}", raw.len())))
+                Action::Respond(response_bytes(&format!("deferred {}", describe(&request))))
             }))
         }),
         quick_config(),
     )
     .expect("serve");
     let resp = roundtrip(&handle, b"POST /x HTTP/1.1\r\ncontent-length: 3\r\n\r\nabc");
-    assert!(resp.contains("deferred len="), "got: {resp}");
+    assert!(resp.ends_with("deferred POST /x body=3"), "got: {resp}");
     assert_eq!(handle.stats().deferred.load(Ordering::Relaxed), 1);
     handle.shutdown();
 }
@@ -146,7 +154,9 @@ fn oversized_head_gets_431() {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let handle = serve(
         listener,
-        Arc::new(|_raw: Vec<u8>| Action::Respond(response_bytes("unreachable"))),
+        Arc::new(|_request: Result<Request, String>| {
+            Action::Respond(response_bytes("unreachable"))
+        }),
         NetConfig {
             limits: FramingLimits {
                 max_head: 256,
@@ -169,7 +179,9 @@ fn oversized_body_gets_413() {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let handle = serve(
         listener,
-        Arc::new(|_raw: Vec<u8>| Action::Respond(response_bytes("unreachable"))),
+        Arc::new(|_request: Result<Request, String>| {
+            Action::Respond(response_bytes("unreachable"))
+        }),
         NetConfig {
             limits: FramingLimits {
                 max_head: 1024,
@@ -194,7 +206,7 @@ fn streaming_replays_history_and_follows_appends() {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let handle = serve(
         listener,
-        Arc::new(move |_raw: Vec<u8>| Action::Stream {
+        Arc::new(move |_request: Result<Request, String>| Action::Stream {
             head:
                 b"HTTP/1.1 200 OK\r\ncontent-type: text/event-stream\r\nconnection: close\r\n\r\n"
                     .to_vec(),
@@ -230,7 +242,7 @@ fn idle_stream_receives_ping_comments() {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let handle = serve(
         listener,
-        Arc::new(move |_raw: Vec<u8>| Action::Stream {
+        Arc::new(move |_request: Result<Request, String>| Action::Stream {
             head:
                 b"HTTP/1.1 200 OK\r\ncontent-type: text/event-stream\r\nconnection: close\r\n\r\n"
                     .to_vec(),
@@ -258,6 +270,18 @@ fn malformed_content_length_gets_400() {
     let handle = echo_server(quick_config());
     let resp = roundtrip(&handle, b"POST / HTTP/1.1\r\ncontent-length: nope\r\n\r\n");
     assert!(resp.starts_with("HTTP/1.1 400 "), "got: {resp}");
+    handle.shutdown();
+}
+
+#[test]
+fn refused_request_line_reaches_the_dispatcher() {
+    let handle = echo_server(quick_config());
+    let resp = roundtrip(&handle, b"GET /x HTTP/2.0\r\n\r\n");
+    assert!(resp.starts_with("HTTP/1.1 200 OK\r\n"), "got: {resp}");
+    assert!(
+        resp.ends_with("unsupported version \"HTTP/2.0\""),
+        "got: {resp}"
+    );
     handle.shutdown();
 }
 

@@ -13,8 +13,8 @@
 //! exactly once between them, and results stay byte-identical to offline
 //! runs — the fleet only moves *where* a job runs, never *how*.
 
-use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+use smrseek_net::Reply;
+use std::net::SocketAddr;
 
 /// Header a forwarding daemon stamps on the re-POST so the owner always
 /// handles it locally (loop prevention).
@@ -26,11 +26,6 @@ pub const PEER_HEADER: &str = "x-smrseek-peer";
 /// Virtual nodes per peer on the hash ring. 64 keeps the key split within
 /// a few percent of even for small fleets while the ring stays tiny.
 const VNODES: usize = 64;
-
-/// How long a forward may spend connecting, and separately reading or
-/// writing, before it fails with 502. Forwarded submissions only enqueue
-/// work (202/200/503 come back immediately); they never wait for results.
-const FORWARD_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// FNV-1a 64-bit over `bytes`, pushed through a 64-bit finalizer
 /// (MurmurHash3's avalanche). Plain FNV mixes similar short strings —
@@ -154,10 +149,11 @@ impl Fleet {
     }
 }
 
-/// Re-POSTs a submission body to `peer` and returns the relayed
-/// `(status, body)`. Blocking with [`FORWARD_TIMEOUT`]s on connect,
-/// read, and write — callers run on the auxiliary dispatch pool, never
-/// the reactor thread.
+/// Re-POSTs a submission body to `peer` and returns the owner's reply.
+/// Blocking, through [`smrseek_net::fetch`] and its timeouts on connect,
+/// read and write — callers run on the auxiliary dispatch pool, never
+/// the reactor thread. Forwarded submissions only enqueue work
+/// (202/200/503 come back immediately); they never wait for results.
 ///
 /// `trace` is the [`smrseek_obs::dtrace::TRACE_HEADER`] value for the hop
 /// (the origin's trace id plus its `forward` span id), when the request
@@ -174,28 +170,22 @@ pub fn forward(
     body: &[u8],
     request_id: &str,
     trace: Option<&str>,
-) -> Result<(u16, Vec<u8>), String> {
-    use std::io::{Read, Write};
-    let mut stream = TcpStream::connect_timeout(&peer, FORWARD_TIMEOUT)
-        .map_err(|e| format!("connect to peer {peer}: {e}"))?;
-    let _ = stream.set_read_timeout(Some(FORWARD_TIMEOUT));
-    let _ = stream.set_write_timeout(Some(FORWARD_TIMEOUT));
-    let trace_line = trace.map_or(String::new(), |value| {
-        format!("{}: {value}\r\n", smrseek_obs::dtrace::TRACE_HEADER)
-    });
-    let head = format!(
-        "POST /v1/jobs HTTP/1.1\r\nhost: {peer}\r\ncontent-type: application/json\r\ncontent-length: {}\r\n{FORWARDED_HEADER}: 1\r\nx-request-id: {request_id}\r\n{trace_line}connection: close\r\n\r\n",
-        body.len()
-    );
-    stream
-        .write_all(head.as_bytes())
-        .and_then(|()| stream.write_all(body))
-        .map_err(|e| format!("send to peer {peer}: {e}"))?;
-    let mut raw = Vec::new();
-    stream
-        .read_to_end(&mut raw)
-        .map_err(|e| format!("read from peer {peer}: {e}"))?;
-    crate::http::parse_response(&raw).map_err(|e| format!("bad response from peer {peer}: {e}"))
+) -> Result<Reply, String> {
+    let host = peer.to_string();
+    let length = body.len().to_string();
+    let mut headers = vec![
+        ("host", host.as_str()),
+        ("content-type", "application/json"),
+        ("content-length", length.as_str()),
+        (FORWARDED_HEADER, "1"),
+        ("x-request-id", request_id),
+    ];
+    if let Some(value) = trace {
+        headers.push((smrseek_obs::dtrace::TRACE_HEADER, value));
+    }
+    let mut request = smrseek_net::request_head("POST", "/v1/jobs", &headers);
+    request.extend_from_slice(body);
+    smrseek_net::fetch(&host, &format!("peer {peer}"), &request).map_err(|e| e.to_string())
 }
 
 #[cfg(test)]

@@ -39,27 +39,27 @@
 //! [`worker::CheckpointPolicy`].
 //!
 //! Everything is `std`: `std::net` sockets, `std::thread` workers, the
-//! vendored `serde_json` for JSON. See [`http`] for the wire format,
-//! [`jobs`] for queueing/caching semantics, [`worker`] for execution,
-//! [`metrics`] for observability, [`api`] for request parsing.
+//! vendored `serde_json` for JSON. The HTTP/1.1 wire format lives in
+//! `smrseek-net`; see [`jobs`] for queueing/caching semantics, [`worker`]
+//! for execution, [`metrics`] for observability, [`api`] for request
+//! parsing, [`tracebody`] for the `/v1/trace` body.
 
 pub mod api;
 pub mod fleet;
-pub mod http;
 pub mod jobs;
 pub mod loadgen;
 pub mod metrics;
 pub mod sse;
+pub mod tracebody;
 pub mod worker;
 
 use crate::api::{JobRequest, TraceRef};
 use crate::fleet::Fleet;
-use crate::http::{read_request, Request, RequestError, Response};
 use crate::jobs::{JobId, JobState, JobTable, JobTrace, Submit};
 use crate::metrics::{Endpoint, Metrics};
 use crate::worker::{CheckpointPolicy, JobKind, JobWork};
 use serde::{Number, Value};
-use smrseek_net::{Action, NetConfig, NetHandle};
+use smrseek_net::{Action, NetConfig, NetHandle, Request, Response};
 use smrseek_obs::dtrace::{self, TRACE_HEADER};
 use smrseek_obs::{DistSpan, SpanStore, TraceContext};
 use smrseek_sim::experiments::ExpOptions;
@@ -283,7 +283,8 @@ struct DaemonDispatcher {
     fleet: Option<Arc<Fleet>>,
 }
 
-/// Logs and accounts one finished request, returning the wire bytes.
+/// Logs and accounts one finished request, returning the action that
+/// writes it.
 fn finish(
     state: &ServerState,
     endpoint: Endpoint,
@@ -291,7 +292,7 @@ fn finish(
     request_id: &str,
     response: Response,
     started: Instant,
-) -> Vec<u8> {
+) -> Action {
     let response = response.with_header("x-request-id", request_id);
     let elapsed = started.elapsed();
     smrseek_obs::info!(
@@ -300,28 +301,10 @@ fn finish(
         elapsed.as_micros()
     );
     state.metrics.observe(endpoint, elapsed);
-    http::response_bytes(&response)
+    Action::Respond(response.into_bytes())
 }
 
 impl DaemonDispatcher {
-    fn respond(
-        &self,
-        endpoint: Endpoint,
-        line: &str,
-        request_id: &str,
-        response: Response,
-        started: Instant,
-    ) -> Action {
-        Action::Respond(finish(
-            &self.state,
-            endpoint,
-            line,
-            request_id,
-            response,
-            started,
-        ))
-    }
-
     /// `GET /v1/jobs/<id>/events`: hand the connection the job's event
     /// stream. The latency observed is subscription setup, not stream
     /// lifetime.
@@ -343,7 +326,8 @@ impl DaemonDispatcher {
                     stream,
                 }
             }
-            None => self.respond(
+            None => finish(
+                &self.state,
                 Endpoint::JobEvents,
                 line,
                 request_id,
@@ -355,28 +339,18 @@ impl DaemonDispatcher {
 }
 
 impl smrseek_net::Dispatcher for DaemonDispatcher {
-    fn dispatch(&self, raw: Vec<u8>) -> Action {
+    fn dispatch(&self, request: Result<Request, String>) -> Action {
         let started = Instant::now();
         let request_id = next_request_id();
-        let request = match read_request(&mut &raw[..]) {
+        let request = match request {
             Ok(request) => request,
-            Err(RequestError::Malformed(msg)) => {
-                return self.respond(
+            Err(msg) => {
+                return finish(
+                    &self.state,
                     Endpoint::Other,
                     "(malformed)",
                     &request_id,
                     Response::json(400, error_body(&msg)),
-                    started,
-                );
-            }
-            // The framer only hands over complete requests, so a short
-            // read here means the head itself was malformed.
-            Err(RequestError::Closed | RequestError::Io(_)) => {
-                return self.respond(
-                    Endpoint::Other,
-                    "(malformed)",
-                    &request_id,
-                    Response::json(400, error_body("truncated request")),
                     started,
                 );
             }
@@ -416,26 +390,28 @@ impl smrseek_net::Dispatcher for DaemonDispatcher {
                 });
                 // Echo the context so the submitter can fetch the trace.
                 let response = response.with_header(TRACE_HEADER, ctx.header_value());
-                Action::Respond(finish(
+                finish(
                     &state,
                     Endpoint::JobsPost,
                     &line,
                     &request_id,
                     response,
                     started,
-                ))
+                )
             }));
         }
         let (endpoint, response) = route(&self.state, self.fleet.as_deref(), &request, &request_id);
-        self.respond(endpoint, &line, &request_id, response, started)
+        finish(&self.state, endpoint, &line, &request_id, response, started)
     }
 }
 
-/// Routes one request against the daemon state. Connection threads call
-/// this; it is public so tests can exercise the full API in-process.
-/// `fleet` (when sharded) feeds the `/healthz` fleet view; `request_id`
-/// is echoed in submit/status envelopes and retained on any job this
-/// request creates.
+/// Routes one request against the daemon state. The dispatcher sends
+/// every request here except event-stream subscriptions and submissions
+/// (which it defers and traces itself); it is public so tests can
+/// exercise the full API in-process, where a submission starts a fresh
+/// trace. `fleet` (when sharded) feeds the `/healthz` fleet view and
+/// routes submissions to their owner; `request_id` is echoed in
+/// submit/status envelopes and retained on any job this request creates.
 pub fn route(
     state: &ServerState,
     fleet: Option<&Fleet>,
@@ -467,7 +443,7 @@ pub fn route(
         }
         ("POST", "/v1/jobs") => (
             Endpoint::JobsPost,
-            submit_job(state, &request.body, request_id),
+            submit_routed(state, fleet, request, request_id, TraceContext::mint()),
         ),
         ("GET", "/v1/jobs") => (Endpoint::JobsGet, jobs_list(state)),
         ("GET", path) if path.starts_with("/v1/jobs/") => {
@@ -507,56 +483,21 @@ fn trace_spans(state: &ServerState, raw_id: &str) -> Response {
     let Some(spans) = state.spans.get(trace_id) else {
         return Response::json(404, error_body("no such trace"));
     };
-    let spans_json: Vec<Value> = spans
-        .iter()
-        .map(|span| {
-            Value::Object(vec![
-                (
-                    "span_id".to_owned(),
-                    Value::String(format!("{:016x}", span.span_id)),
-                ),
-                (
-                    "parent_span_id".to_owned(),
-                    span.parent_span_id
-                        .map_or(Value::Null, |id| Value::String(format!("{id:016x}"))),
-                ),
-                ("name".to_owned(), Value::String(span.name.clone())),
-                (
-                    "request_id".to_owned(),
-                    Value::String(span.request_id.clone()),
-                ),
-                (
-                    "start_unix_ns".to_owned(),
-                    Value::Number(Number::U(span.start_unix_ns)),
-                ),
-                ("dur_ns".to_owned(), Value::Number(Number::U(span.dur_ns))),
-                (
-                    "pid".to_owned(),
-                    Value::Number(Number::U(u64::from(span.pid))),
-                ),
-                ("tid".to_owned(), Value::Number(Number::U(span.tid))),
-            ])
-        })
-        .collect();
-    Response::json(
-        200,
-        serde_json::to_string(&Value::Object(vec![
-            (
-                "trace_id".to_owned(),
-                Value::String(format!("{trace_id:032x}")),
-            ),
-            ("spans".to_owned(), Value::Array(spans_json)),
-        ]))
-        .expect("trace body serializes"),
-    )
+    Response::json(200, tracebody::encode(trace_id, &spans))
+}
+
+/// Compact JSON for an object with `fields`, in order.
+fn json_object(fields: Vec<(&str, Value)>) -> String {
+    let fields = fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect();
+    serde_json::to_string(&Value::Object(fields)).expect("JSON bodies serialize")
+}
+
+fn json_str(s: &str) -> Value {
+    Value::String(s.to_owned())
 }
 
 fn error_body(msg: &str) -> String {
-    serde_json::to_string(&Value::Object(vec![(
-        "error".to_owned(),
-        Value::String(msg.to_owned()),
-    )]))
-    .expect("error body serializes")
+    json_object(vec![("error", json_str(msg))])
 }
 
 /// Resolves a parsed request into runnable work plus its cache key.
@@ -609,18 +550,6 @@ fn resolve(state: &ServerState, request: &JobRequest) -> Result<(String, JobWork
     ))
 }
 
-fn submit_job(state: &ServerState, body: &[u8], request_id: &str) -> Response {
-    let request = match api::parse_job_request(body) {
-        Ok(request) => request,
-        Err(msg) => return Response::json(400, error_body(&msg)),
-    };
-    let (key, work) = match resolve(state, &request) {
-        Ok(resolved) => resolved,
-        Err(msg) => return Response::json(400, error_body(&msg)),
-    };
-    submit_local(state, key, work, request_id, None)
-}
-
 /// The fleet-aware submission path the dispatcher defers to: resolve the
 /// job key, forward to its consistent-hash owner when that is another
 /// peer, otherwise enqueue locally. A request already marked
@@ -670,16 +599,15 @@ fn submit_routed(
                 tid: smrseek_obs::current_tid(),
             });
             return match relayed {
-                Ok((status, body)) => {
+                Ok(reply) => {
                     state.metrics.forwarded(&label);
-                    let relayed = Response::json(status, String::from_utf8_lossy(&body))
-                        .with_header(fleet::PEER_HEADER, &label);
-                    // parse_response flattens headers, so re-add the one
-                    // contract header a 503 carries.
-                    if status == 503 {
-                        relayed.with_header("retry-after", "1")
-                    } else {
-                        relayed
+                    let relayed =
+                        Response::json(reply.status, String::from_utf8_lossy(&reply.body))
+                            .with_header(fleet::PEER_HEADER, &label);
+                    // The owner's backpressure hint reaches the client.
+                    match reply.header("retry-after") {
+                        Some(after) => relayed.with_header("retry-after", after),
+                        None => relayed,
                     }
                 }
                 Err(msg) => {
@@ -732,34 +660,20 @@ fn jobs_list(state: &ServerState) -> Response {
         .map(|(id, job_state)| {
             Value::Object(vec![
                 ("id".to_owned(), Value::Number(Number::U(id))),
-                (
-                    "status".to_owned(),
-                    Value::String(job_state.label().to_owned()),
-                ),
+                ("status".to_owned(), json_str(job_state.label())),
             ])
         })
         .collect();
-    Response::json(
-        200,
-        serde_json::to_string(&Value::Object(vec![(
-            "jobs".to_owned(),
-            Value::Array(jobs),
-        )]))
-        .expect("jobs list serializes"),
-    )
+    Response::json(200, json_object(vec![("jobs", Value::Array(jobs))]))
 }
 
 fn submit_body(id: JobId, status: &str, cache: &str, request_id: &str) -> String {
-    serde_json::to_string(&Value::Object(vec![
-        ("id".to_owned(), Value::Number(Number::U(id))),
-        ("status".to_owned(), Value::String(status.to_owned())),
-        ("cache".to_owned(), Value::String(cache.to_owned())),
-        (
-            "request_id".to_owned(),
-            Value::String(request_id.to_owned()),
-        ),
-    ]))
-    .expect("submit body serializes")
+    json_object(vec![
+        ("id", Value::Number(Number::U(id))),
+        ("status", json_str(status)),
+        ("cache", json_str(cache)),
+        ("request_id", json_str(request_id)),
+    ])
 }
 
 fn job_status(state: &ServerState, raw_id: &str) -> Response {
@@ -771,34 +685,22 @@ fn job_status(state: &ServerState, raw_id: &str) -> Response {
         return Response::json(404, error_body("no such job"));
     };
     let mut fields = vec![
-        ("id".to_owned(), Value::Number(Number::U(id))),
-        (
-            "status".to_owned(),
-            Value::String(status.state.label().to_owned()),
-        ),
-        (
-            "request_id".to_owned(),
-            Value::String(status.request_id.clone()),
-        ),
+        ("id", Value::Number(Number::U(id))),
+        ("status", json_str(status.state.label())),
+        ("request_id", json_str(&status.request_id)),
     ];
     match status.state {
         JobState::Done => {
             let doc = status.result.expect("done job has a result");
             let parsed: Value = serde_json::from_str(&doc).expect("stored results are JSON");
-            fields.push(("result".to_owned(), parsed));
+            fields.push(("result", parsed));
         }
         JobState::Failed => {
-            fields.push((
-                "error".to_owned(),
-                Value::String(status.error.unwrap_or_default()),
-            ));
+            fields.push(("error", Value::String(status.error.unwrap_or_default())));
         }
         JobState::Queued | JobState::Running => {}
     }
-    Response::json(
-        200,
-        serde_json::to_string(&Value::Object(fields)).expect("status body serializes"),
-    )
+    Response::json(200, json_object(fields))
 }
 
 fn job_result(state: &ServerState, raw_id: &str) -> Response {
@@ -819,11 +721,7 @@ fn job_result(state: &ServerState, raw_id: &str) -> Response {
         ),
         pending => Response::json(
             202,
-            serde_json::to_string(&Value::Object(vec![(
-                "status".to_owned(),
-                Value::String(pending.label().to_owned()),
-            )]))
-            .expect("pending body serializes"),
+            json_object(vec![("status", json_str(pending.label()))]),
         ),
     }
 }

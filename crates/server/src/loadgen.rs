@@ -7,12 +7,13 @@
 //! `POST /v1/jobs` and reading to EOF (the daemon closes per request).
 //! Every submission is accounted for exactly once — completed with a
 //! status, or *dropped* if the connection died or timed out before a
-//! full response arrived. A healthy daemon may answer 503 under
+//! full response arrived. Connect latency is reported apart from
+//! response latency, so an overflowing listen backlog (connects stalled
+//! on SYN retransmits) shows up as itself. A healthy daemon may answer 503 under
 //! backpressure, but it must never silently drop a connection, so
 //! [`LoadReport::dropped`] is the invariant the daemon bench gate
 //! checks against zero.
 
-use crate::http;
 use smrseek_net::{Event, Interest, Poller};
 use std::collections::BTreeMap;
 use std::io::{ErrorKind, Read, Write};
@@ -70,7 +71,9 @@ pub struct LoadReport {
     pub statuses: BTreeMap<u16, u64>,
     /// Wall time for the whole run.
     pub elapsed: Duration,
-    /// Latency percentiles over completed requests, in microseconds.
+    /// Response latency percentiles over completed requests — from the
+    /// connection being established to the last response byte — in
+    /// microseconds.
     pub p50_us: u64,
     /// 99th percentile latency (µs).
     pub p99_us: u64,
@@ -78,6 +81,13 @@ pub struct LoadReport {
     pub p999_us: u64,
     /// Worst completed request (µs).
     pub max_us: u64,
+    /// Median time to establish a connection (µs), over every
+    /// connection that was established.
+    pub connect_p50_us: u64,
+    /// 99th percentile connect time (µs).
+    pub connect_p99_us: u64,
+    /// Worst connect time (µs).
+    pub connect_max_us: u64,
     /// Completed requests per wall-clock second.
     pub throughput_rps: f64,
 }
@@ -110,11 +120,22 @@ fn job_body(i: usize, ops: u64) -> String {
 }
 
 fn request_bytes(addr: SocketAddr, body: &str) -> Vec<u8> {
-    format!(
-        "POST /v1/jobs HTTP/1.1\r\nhost: {addr}\r\ncontent-type: application/json\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{body}",
-        body.len()
-    )
-    .into_bytes()
+    let mut request = smrseek_net::request_head(
+        "POST",
+        "/v1/jobs",
+        &[
+            ("host", &addr.to_string()),
+            ("content-type", "application/json"),
+            ("content-length", &body.len().to_string()),
+        ],
+    );
+    request.extend_from_slice(body.as_bytes());
+    request
+}
+
+/// Microseconds in `d`, saturating.
+fn micros(d: Duration) -> u64 {
+    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
 /// Runs one load shape against a daemon and reports what came back.
@@ -135,6 +156,7 @@ pub fn run(config: &LoadConfig) -> std::io::Result<LoadReport> {
         ..LoadReport::default()
     };
     let mut samples: Vec<u64> = Vec::with_capacity(config.requests);
+    let mut connect_samples: Vec<u64> = Vec::with_capacity(config.requests);
     let mut flights: Vec<Option<Flight>> = Vec::new();
     let mut free: Vec<usize> = Vec::new();
     let mut launched = 0usize;
@@ -142,30 +164,30 @@ pub fn run(config: &LoadConfig) -> std::io::Result<LoadReport> {
     let mut events: Vec<Event> = Vec::new();
 
     let finish = |flight: Flight, report: &mut LoadReport, samples: &mut Vec<u64>| {
-        match http::parse_response(&flight.rbuf) {
-            Ok((status, _body)) => {
-                report.completed += 1;
-                *report.statuses.entry(status).or_insert(0) += 1;
-                if status == 503 {
-                    report.rejected += 1;
-                } else if status >= 400 {
-                    report.errors += 1;
-                }
-                let us = u64::try_from(flight.started.elapsed().as_micros()).unwrap_or(u64::MAX);
-                samples.push(us);
-            }
-            Err(_) => report.dropped += 1,
+        let Ok(reply) = smrseek_net::parse_response(&flight.rbuf) else {
+            report.dropped += 1;
+            return;
+        };
+        report.completed += 1;
+        *report.statuses.entry(reply.status).or_insert(0) += 1;
+        if reply.status == 503 {
+            report.rejected += 1;
+        } else if reply.status >= 400 {
+            report.errors += 1;
         }
+        samples.push(micros(flight.started.elapsed()));
     };
 
     while settled < config.requests {
         // Top up to the concurrency cap. Connect is the one blocking
         // step (loopback: the kernel completes it as soon as the SYN
-        // lands in the daemon's accept backlog).
+        // lands in the daemon's accept backlog), timed on its own.
         while launched < config.requests && launched - settled < config.concurrency {
-            let now = Instant::now();
+            let connecting = Instant::now();
             match TcpStream::connect_timeout(&config.addr, config.timeout) {
                 Ok(stream) => {
+                    let now = Instant::now();
+                    connect_samples.push(micros(now - connecting));
                     stream.set_nonblocking(true)?;
                     let slot = free.pop().unwrap_or_else(|| {
                         flights.push(None);
@@ -278,10 +300,14 @@ pub fn run(config: &LoadConfig) -> std::io::Result<LoadReport> {
     }
 
     samples.sort_unstable();
-    report.p50_us = percentile(&samples, 0.50);
-    report.p99_us = percentile(&samples, 0.99);
-    report.p999_us = percentile(&samples, 0.999);
-    report.max_us = samples.last().copied().unwrap_or(0);
+    connect_samples.sort_unstable();
+    [report.p50_us, report.p99_us, report.p999_us, report.max_us] =
+        [0.50, 0.99, 0.999, 1.0].map(|q| percentile(&samples, q));
+    [
+        report.connect_p50_us,
+        report.connect_p99_us,
+        report.connect_max_us,
+    ] = [0.50, 0.99, 1.0].map(|q| percentile(&connect_samples, q));
     report.elapsed = started_run.elapsed();
     let secs = report.elapsed.as_secs_f64();
     report.throughput_rps = if secs > 0.0 {
@@ -311,6 +337,9 @@ impl LoadReport {
         let _ = writeln!(out, "latency_p99_us: {}", self.p99_us);
         let _ = writeln!(out, "latency_p999_us: {}", self.p999_us);
         let _ = writeln!(out, "latency_max_us: {}", self.max_us);
+        let _ = writeln!(out, "connect_p50_us: {}", self.connect_p50_us);
+        let _ = writeln!(out, "connect_p99_us: {}", self.connect_p99_us);
+        let _ = writeln!(out, "connect_max_us: {}", self.connect_max_us);
         out
     }
 
@@ -323,34 +352,24 @@ impl LoadReport {
             .iter()
             .map(|(&status, &count)| (status.to_string(), Value::Number(Number::U(count))))
             .collect();
+        let u = |v: u64| Value::Number(Number::U(v));
+        let f = |v: f64| Value::Number(Number::F(v));
         Value::Object(vec![
-            (
-                "requests".to_owned(),
-                Value::Number(Number::U(self.requests)),
-            ),
-            (
-                "completed".to_owned(),
-                Value::Number(Number::U(self.completed)),
-            ),
-            ("dropped".to_owned(), Value::Number(Number::U(self.dropped))),
-            (
-                "rejected_503".to_owned(),
-                Value::Number(Number::U(self.rejected)),
-            ),
-            ("errors".to_owned(), Value::Number(Number::U(self.errors))),
+            ("requests".to_owned(), u(self.requests)),
+            ("completed".to_owned(), u(self.completed)),
+            ("dropped".to_owned(), u(self.dropped)),
+            ("rejected_503".to_owned(), u(self.rejected)),
+            ("errors".to_owned(), u(self.errors)),
             ("statuses".to_owned(), Value::Object(statuses)),
-            (
-                "elapsed_s".to_owned(),
-                Value::Number(Number::F(self.elapsed.as_secs_f64())),
-            ),
-            (
-                "throughput_rps".to_owned(),
-                Value::Number(Number::F(self.throughput_rps)),
-            ),
-            ("p50_us".to_owned(), Value::Number(Number::U(self.p50_us))),
-            ("p99_us".to_owned(), Value::Number(Number::U(self.p99_us))),
-            ("p999_us".to_owned(), Value::Number(Number::U(self.p999_us))),
-            ("max_us".to_owned(), Value::Number(Number::U(self.max_us))),
+            ("elapsed_s".to_owned(), f(self.elapsed.as_secs_f64())),
+            ("throughput_rps".to_owned(), f(self.throughput_rps)),
+            ("p50_us".to_owned(), u(self.p50_us)),
+            ("p99_us".to_owned(), u(self.p99_us)),
+            ("p999_us".to_owned(), u(self.p999_us)),
+            ("max_us".to_owned(), u(self.max_us)),
+            ("connect_p50_us".to_owned(), u(self.connect_p50_us)),
+            ("connect_p99_us".to_owned(), u(self.connect_p99_us)),
+            ("connect_max_us".to_owned(), u(self.connect_max_us)),
         ])
     }
 }

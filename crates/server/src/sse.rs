@@ -24,10 +24,14 @@ pub fn encode_event(name: &str, data: &str) -> Vec<u8> {
 /// line. SSE responses carry no `Content-Length`; the connection closes
 /// when the stream does.
 pub fn response_head(request_id: &str) -> Vec<u8> {
-    format!(
-        "HTTP/1.1 200 OK\r\ncontent-type: text/event-stream\r\ncache-control: no-store\r\nconnection: close\r\nx-request-id: {request_id}\r\n\r\n"
+    smrseek_net::response_head(
+        200,
+        &[
+            ("content-type", "text/event-stream"),
+            ("cache-control", "no-store"),
+        ],
+        &[("x-request-id".to_owned(), request_id.to_owned())],
     )
-    .into_bytes()
 }
 
 /// Compact JSON for a plain status transition: `{"id":N,"status":"..."}`

@@ -894,6 +894,32 @@ fn loadgen_thousand_concurrent_submissions_zero_drops() {
 }
 
 #[test]
+fn connect_bursts_fit_the_listen_backlog() {
+    // 256 connects in a row overflow std's default listen(2) backlog of
+    // 128 whenever the daemon's reactor falls behind on accepts; the
+    // overflowed SYNs are dropped and retried after ~1 s. The daemon runs
+    // in its own process (as under `smrseek bench-daemon`) and enlarges
+    // its backlog, so every connect completes well inside that.
+    let (child, addr) = spawn_daemon(&["--workers", "1"]);
+    let report = smrseek_server::loadgen::run(&smrseek_server::loadgen::LoadConfig {
+        addr: addr.parse().expect("daemon address parses"),
+        requests: 5000,
+        concurrency: 256,
+        distinct: 4,
+        ops: 100,
+        timeout: Duration::from_secs(60),
+    })
+    .expect("load generator runs");
+    terminate(child);
+    assert_eq!(report.dropped, 0, "no silent drops: {report:?}");
+    assert_eq!(report.completed, 5000, "{report:?}");
+    assert!(
+        report.connect_max_us < 500_000,
+        "a connect waited out a SYN retransmit: {report:?}"
+    );
+}
+
+#[test]
 fn version_flag_prints_and_exits_zero() {
     let out = Command::new(bin())
         .arg("--version")

@@ -10,7 +10,7 @@
 //! `/metrics` route) and against hand-broken expositions to prove it
 //! actually bites.
 
-use smrseek_server::http::Request;
+use smrseek_net::Request;
 use smrseek_server::metrics::{Endpoint, Metrics};
 use smrseek_server::{route, ServerState};
 use std::collections::{HashMap, HashSet};
