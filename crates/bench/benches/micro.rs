@@ -76,6 +76,37 @@ fn extent_map(c: &mut Criterion) {
             black_box(total)
         })
     });
+
+    // The shape `smrseek bench` and the benchmark's scramble workload put
+    // on the map: 100k records over a 16 GiB span, 16-sector writes
+    // appended at the frontier (~66k extents at the peak) and 8-sector
+    // reads between them.
+    let scramble_lba = |i: u64| i.wrapping_mul(1001).wrapping_mul(2654435761) % (1 << 22) * 8;
+    let (reads, writes): (Vec<u64>, Vec<u64>) = (0..100_000u64).partition(|i| i % 3 == 0);
+    let writes: Vec<u64> = writes.into_iter().map(scramble_lba).collect();
+    let reads: Vec<u64> = reads.into_iter().map(scramble_lba).collect();
+    let scramble = |writes: &[u64]| {
+        let mut map = ExtentMap::new();
+        for (k, &lba) in writes.iter().enumerate() {
+            map.insert(Lba::new(lba), 16, Pba::new((1 << 25) + k as u64 * 16));
+        }
+        map
+    };
+    group.throughput(Throughput::Elements(writes.len() as u64));
+    group.bench_function("insert_scramble_66k", |b| {
+        b.iter(|| black_box(scramble(&writes).len()))
+    });
+    let map = scramble(&writes);
+    group.throughput(Throughput::Elements(reads.len() as u64));
+    group.bench_function("lookup_each_scramble_33k", |b| {
+        b.iter(|| {
+            let mut total = 0usize;
+            for &lba in &reads {
+                map.lookup_each(Lba::new(lba), 8, |_| total += 1);
+            }
+            black_box(total)
+        })
+    });
     group.finish();
 }
 

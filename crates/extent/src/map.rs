@@ -1,10 +1,55 @@
 //! The coalescing LBA→PBA interval map.
+//!
+//! The map is two levels deep: a sorted `Vec` of *leaves*, each a sorted
+//! `Vec` of at most [`LEAF_CAP`] extents, plus a parallel `Vec` of every
+//! leaf's first start LBA. Two binary searches (leaf, then position inside
+//! it) find any extent, a range walk is a linear scan of contiguous
+//! memory, and an overwrite is one in-place edit of a few adjacent slots.
 
 use crate::segment::{Extent, Segment};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, MapKey, Serialize, Value};
 use smrseek_trace::{Lba, Pba};
-use std::collections::BTreeMap;
 use std::fmt;
+
+/// Most extents one leaf holds; a leaf that grows past it splits in half.
+///
+/// Measured on the scramble benchmark (66k-extent peak): 64 keeps a
+/// leaf's binary search and its splice memmove both within a few cache
+/// lines, while the leaf index stays small enough to stay cached.
+const LEAF_CAP: usize = 64;
+
+/// One edit grows a leaf by at most two runs (one run split into head,
+/// new and tail), so leaves get exactly this room: reaching the split
+/// point never reallocates, let alone doubles, a leaf's buffer.
+const LEAF_ROOM: usize = LEAF_CAP + 2;
+
+/// One stored extent in raw sector numbers.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Run {
+    start: u64,
+    len: u64,
+    pba: u64,
+}
+
+impl Run {
+    fn end(&self) -> u64 {
+        self.start + self.len
+    }
+
+    /// `true` when `next` continues this run logically and physically.
+    fn abuts(&self, next: &Run) -> bool {
+        self.end() == next.start && self.pba + self.len == next.pba
+    }
+
+    /// The part of this run from logical sector `at` (inside it) onwards.
+    fn from(&self, at: u64) -> Run {
+        Run {
+            start: at,
+            len: self.end() - at,
+            pba: self.pba + (at - self.start),
+        }
+    }
+}
 
 /// A map from logical sector ranges to physical sector ranges with
 /// split-on-overwrite and coalesce-on-insert semantics.
@@ -15,6 +60,9 @@ use std::fmt;
 /// 2. adjacent stored extents are never coalescible (maximal extents),
 /// 3. a lookup over any range tiles the range exactly, in order, with no
 ///    gaps or overlaps between returned segments.
+///
+/// Equality compares content, not how the extents happen to be split
+/// into leaves.
 ///
 /// # Example
 ///
@@ -29,10 +77,14 @@ use std::fmt;
 /// assert_eq!(segs.len(), 3);
 /// assert_eq!(segs[1].as_mapped().unwrap().pba, Pba::new(900));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Default)]
 pub struct ExtentMap {
-    /// start LBA sector -> (length in sectors, start PBA sector)
-    extents: BTreeMap<u64, (u64, u64)>,
+    /// `firsts[i]` is the start LBA of `leaves[i]`'s first run.
+    firsts: Vec<u64>,
+    /// Non-empty leaves of at most `LEAF_CAP` runs, sorted and disjoint.
+    leaves: Vec<Vec<Run>>,
+    /// Stored run count across all leaves.
+    len: usize,
     mapped_sectors: u64,
 }
 
@@ -44,12 +96,12 @@ impl ExtentMap {
 
     /// Number of stored extents.
     pub fn len(&self) -> usize {
-        self.extents.len()
+        self.len
     }
 
     /// Returns `true` if nothing is mapped.
     pub fn is_empty(&self) -> bool {
-        self.extents.is_empty()
+        self.len == 0
     }
 
     /// Total mapped sectors.
@@ -68,11 +120,7 @@ impl ExtentMap {
             return;
         }
         let start = lba.sector();
-        let end = start + sectors;
-        self.unmap_range(start, end);
-        self.extents.insert(start, (sectors, pba.sector()));
-        self.mapped_sectors += sectors;
-        self.coalesce_around(start);
+        self.edit(start, start + sectors, Some(pba.sector()));
     }
 
     /// Removes any mapping of the logical range `[lba, lba + sectors)`.
@@ -81,7 +129,7 @@ impl ExtentMap {
             return;
         }
         let start = lba.sector();
-        self.unmap_range(start, start + sectors);
+        self.edit(start, start + sectors, None);
     }
 
     /// Translates one logical sector, or `None` if unmapped.
@@ -99,12 +147,9 @@ impl ExtentMap {
     /// ```
     pub fn translate(&self, lba: Lba) -> Option<Pba> {
         let sector = lba.sector();
-        let (&start, &(len, pba)) = self.extents.range(..=sector).next_back()?;
-        if sector < start + len {
-            Some(Pba::new(pba + (sector - start)))
-        } else {
-            None
-        }
+        let (l, i) = self.seek(sector);
+        let run = self.leaves.get(l)?.get(i)?;
+        (run.start <= sector).then(|| Pba::new(run.pba + (sector - run.start)))
     }
 
     /// Tiles the logical range `[lba, lba + sectors)` with mapped and hole
@@ -127,36 +172,29 @@ impl ExtentMap {
         let start = lba.sector();
         let end = start + sectors;
         let mut cursor = start;
-
-        // An extent beginning before `start` may cover the front.
-        if let Some((&es, &(elen, epba))) = self.extents.range(..start).next_back() {
-            if es + elen > start {
-                let avail = es + elen - start;
-                let take = avail.min(sectors);
+        let (l, i) = self.seek(start);
+        let mut from = i;
+        'walk: for leaf in &self.leaves[l..] {
+            for run in &leaf[from..] {
+                if run.start >= end {
+                    break 'walk;
+                }
+                if run.start > cursor {
+                    f(Segment::Hole {
+                        lba: Lba::new(cursor),
+                        sectors: run.start - cursor,
+                    });
+                    cursor = run.start;
+                }
+                let take = run.end().min(end) - cursor;
                 f(Segment::Mapped(Extent::new(
-                    Lba::new(start),
+                    Lba::new(cursor),
                     take,
-                    Pba::new(epba + (start - es)),
+                    Pba::new(run.pba + (cursor - run.start)),
                 )));
-                cursor = start + take;
+                cursor += take;
             }
-        }
-        for (&es, &(elen, epba)) in self.extents.range(start..end) {
-            if es > cursor {
-                f(Segment::Hole {
-                    lba: Lba::new(cursor),
-                    sectors: es - cursor,
-                });
-                cursor = es;
-            }
-            let take = (es + elen).min(end) - cursor;
-            debug_assert_eq!(cursor, es);
-            f(Segment::Mapped(Extent::new(
-                Lba::new(cursor),
-                take,
-                Pba::new(epba),
-            )));
-            cursor += take;
+            from = 0;
         }
         if cursor < end {
             f(Segment::Hole {
@@ -194,77 +232,257 @@ impl ExtentMap {
     /// the seeks incurred by one sequential read of the whole LBA space
     /// (holes again reading from their identity location).
     pub fn static_fragmentation(&self) -> usize {
-        let Some((&first, _)) = self.extents.iter().next() else {
+        let (Some(&first), Some(last)) = (
+            self.firsts.first(),
+            self.leaves.last().and_then(|leaf| leaf.last()),
+        ) else {
             return 0;
         };
-        let (&last_start, &(last_len, _)) =
-            self.extents.iter().next_back().expect("map is non-empty");
-        self.fragments_in(Lba::new(first), last_start + last_len - first)
+        self.fragments_in(Lba::new(first), last.end() - first)
     }
 
     /// Iterates the stored extents in logical order.
     pub fn iter(&self) -> impl Iterator<Item = Extent> + '_ {
-        self.extents
-            .iter()
-            .map(|(&s, &(len, pba))| Extent::new(Lba::new(s), len, Pba::new(pba)))
+        self.runs()
+            .map(|r| Extent::new(Lba::new(r.start), r.len, Pba::new(r.pba)))
     }
 
-    /// Removes mappings in `[start, end)` (raw sector numbers), splitting
-    /// boundary extents.
-    fn unmap_range(&mut self, start: u64, end: u64) {
-        // Predecessor overlapping the front?
-        if let Some((&es, &(elen, epba))) = self.extents.range(..start).next_back() {
-            let ee = es + elen;
-            if ee > start {
-                // Trim to [es, start).
-                self.extents.insert(es, (start - es, epba));
-                self.mapped_sectors -= elen - (start - es);
-                if ee > end {
-                    // The old extent also extends past `end`: keep the tail.
-                    let tail_len = ee - end;
-                    self.extents.insert(end, (tail_len, epba + (end - es)));
-                    self.mapped_sectors += tail_len;
+    fn runs(&self) -> impl Iterator<Item = &Run> + '_ {
+        self.leaves.iter().flatten()
+    }
+
+    /// Position `(leaf, index)` of the first run that ends after `sector`:
+    /// the run containing it, or else the next run above it. The index may
+    /// equal the leaf's length (the next run, if any, opens the next leaf).
+    fn seek(&self, sector: u64) -> (usize, usize) {
+        let l = self
+            .firsts
+            .partition_point(|&f| f <= sector)
+            .saturating_sub(1);
+        let Some(leaf) = self.leaves.get(l) else {
+            return (0, 0);
+        };
+        let i = leaf.partition_point(|r| r.start <= sector);
+        if i > 0 && leaf[i - 1].end() > sector {
+            (l, i - 1)
+        } else {
+            (l, i)
+        }
+    }
+
+    /// Maps `[start, end)` to the physical range starting at `pba`, or
+    /// unmaps it when `pba` is `None`, in one pass:
+    /// locate the predecessor, read the covered runs and the neighbours in
+    /// place, then splice at most three runs (head, new or merged, tail)
+    /// over the affected slots.
+    fn edit(&mut self, start: u64, end: u64, pba: Option<u64>) {
+        let new = pba.map(|pba| Run {
+            start,
+            len: end - start,
+            pba,
+        });
+        if self.leaves.is_empty() {
+            if new.is_none() {
+                return;
+            }
+            self.leaves.push(Vec::with_capacity(LEAF_ROOM));
+            self.firsts.push(start);
+        }
+        // The last run starting before `start` is the predecessor. It sits
+        // at `(l0, i0 - 1)`; `i0 == 0` only when there is none.
+        let l0 = self
+            .firsts
+            .partition_point(|&f| f < start)
+            .saturating_sub(1);
+        let i0 = self.leaves[l0].partition_point(|r| r.start < start);
+
+        // The runs to replace are the slots `[first, after)`.
+        let mut first = None;
+        let mut after = (l0, i0);
+        let mut removed = (0usize, 0u64); // (runs, sectors)
+        let mut head = None;
+        let mut tail = None;
+        if i0 > 0 {
+            let p = self.leaves[l0][i0 - 1];
+            // Taken when it overlaps the range, or when it ends exactly at
+            // `start` and continues physically into `new` (coalesce).
+            if p.end() > start || new.is_some_and(|n| p.abuts(&n)) {
+                first = Some((l0, i0 - 1));
+                removed = (1, p.len);
+                head = Some(Run {
+                    len: start - p.start,
+                    ..p
+                });
+                if p.end() > end {
+                    tail = Some(p.from(end));
                 }
             }
         }
-        // Extents starting inside [start, end).
-        let starts: Vec<u64> = self.extents.range(start..end).map(|(&s, _)| s).collect();
-        for es in starts {
-            let (elen, epba) = self.extents.remove(&es).expect("key just observed");
-            self.mapped_sectors -= elen;
-            let ee = es + elen;
-            if ee > end {
-                let tail_len = ee - end;
-                self.extents.insert(end, (tail_len, epba + (end - es)));
-                self.mapped_sectors += tail_len;
+        let (mut l, mut i) = (l0, i0);
+        'scan: while let Some(leaf) = self.leaves.get(l) {
+            for run in &leaf[i..] {
+                // Past the range, only a run `new` coalesces into is taken.
+                let covered = run.start < end;
+                if !covered && !new.is_some_and(|n| n.abuts(run)) {
+                    break 'scan;
+                }
+                first.get_or_insert((l, i));
+                removed.0 += 1;
+                removed.1 += run.len;
+                i += 1;
+                after = (l, i);
+                if !covered {
+                    tail = Some(*run);
+                    break 'scan;
+                }
+                if run.end() > end {
+                    tail = Some(run.from(end));
+                }
+            }
+            (l, i) = (l + 1, 0);
+        }
+
+        // The replacement: head, new, tail, coalescing the abutting ones.
+        let mut pieces = [Run::default(); 3];
+        let mut n = 0;
+        for run in [head, new, tail].into_iter().flatten() {
+            match pieces[..n].last_mut() {
+                Some(prev) if prev.abuts(&run) => prev.len += run.len,
+                _ => {
+                    pieces[n] = run;
+                    n += 1;
+                }
             }
         }
+        let pieces = &pieces[..n];
+        if removed.0 == 0 && pieces.is_empty() {
+            return;
+        }
+        self.len = self.len - removed.0 + pieces.len();
+        self.mapped_sectors =
+            self.mapped_sectors - removed.1 + pieces.iter().map(|r| r.len).sum::<u64>();
+
+        let (la, ia) = first.unwrap_or(after);
+        let (lb, mut ib) = after;
+        if lb > la {
+            // The splice crosses leaves: drop the wholly covered ones, cut
+            // the covered prefix off the last, then splice the first's tail.
+            let last = &mut self.leaves[lb];
+            last.drain(..ib);
+            let drop_end = if last.is_empty() {
+                lb + 1
+            } else {
+                self.firsts[lb] = last[0].start;
+                lb
+            };
+            self.leaves.drain(la + 1..drop_end);
+            self.firsts.drain(la + 1..drop_end);
+            ib = self.leaves[la].len();
+        }
+        let leaf = &mut self.leaves[la];
+        let grows = pieces.len().saturating_sub(ib - ia);
+        debug_assert!(leaf.len() + grows <= LEAF_ROOM);
+        if leaf.len() + grows > leaf.capacity() {
+            leaf.reserve_exact(LEAF_ROOM - leaf.len());
+        }
+        leaf.splice(ia..ib, pieces.iter().copied());
+        self.settle(la);
     }
 
-    /// Coalesces the extent starting at `start` with its logical
-    /// predecessor and successor when they abut physically too.
-    fn coalesce_around(&mut self, start: u64) {
-        let (mut s, (mut len, mut pba)) = {
-            let &(len, pba) = self.extents.get(&start).expect("just inserted");
-            (start, (len, pba))
+    /// Restores the leaf invariants of `leaves[l]` after an edit: an
+    /// emptied leaf is dropped, an overfull one split in half, and its
+    /// first start refreshed.
+    fn settle(&mut self, l: usize) {
+        let leaf = &mut self.leaves[l];
+        let Some(head) = leaf.first() else {
+            self.leaves.remove(l);
+            self.firsts.remove(l);
+            return;
         };
-        if let Some((&ps, &(plen, ppba))) = self.extents.range(..s).next_back() {
-            if ps + plen == s && ppba + plen == pba {
-                self.extents.remove(&s);
-                s = ps;
-                pba = ppba;
-                len += plen;
-                self.extents.insert(s, (len, pba));
+        self.firsts[l] = head.start;
+        if leaf.len() > LEAF_CAP {
+            let mid = leaf.len() / 2;
+            let mut right = Vec::with_capacity(LEAF_ROOM);
+            right.extend_from_slice(&leaf[mid..]);
+            leaf.truncate(mid);
+            self.firsts.insert(l + 1, right[0].start);
+            self.leaves.insert(l + 1, right);
+        }
+    }
+}
+
+impl PartialEq for ExtentMap {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len
+            && self.mapped_sectors == other.mapped_sectors
+            && self.runs().eq(other.runs())
+    }
+}
+
+impl fmt::Debug for ExtentMap {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Runs<'a>(&'a ExtentMap);
+        impl fmt::Debug for Runs<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_map()
+                    .entries(self.0.runs().map(|r| (r.start, (r.len, r.pba))))
+                    .finish()
             }
         }
-        let next = self.extents.range(s + 1..).next().map(|(&ns, &v)| (ns, v));
-        if let Some((ns, (nlen, npba))) = next {
-            if s + len == ns && pba + len == npba {
-                self.extents.remove(&ns);
-                len += nlen;
-                self.extents.insert(s, (len, pba));
-            }
-        }
+        f.debug_struct("ExtentMap")
+            .field("extents", &Runs(self))
+            .field("mapped_sectors", &self.mapped_sectors)
+            .finish()
+    }
+}
+
+/// The serialized form is `{"extents": {start: [len, pba], …},
+/// "mapped_sectors": n}` with starts in ascending order — independent of
+/// the leaf layout, so checkpoints written by any version load.
+impl Serialize for ExtentMap {
+    fn to_value(&self) -> Value {
+        let extents = self
+            .runs()
+            .map(|r| (r.start.to_key(), (r.len, r.pba).to_value()))
+            .collect();
+        Value::Object(vec![
+            ("extents".to_string(), Value::Object(extents)),
+            ("mapped_sectors".to_string(), self.mapped_sectors.to_value()),
+        ])
+    }
+}
+
+/// Accepts the serialized form in any key order (a repeated start keeps
+/// its last value) and bulk-loads the leaves.
+impl Deserialize for ExtentMap {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        let extents = v.expect_field("extents")?;
+        let entries = extents
+            .as_object()
+            .ok_or_else(|| Error::custom(format!("expected object, got {extents:?}")))?;
+        let mut runs = entries
+            .iter()
+            .rev()
+            .map(|(k, val)| {
+                let (len, pba) = <(u64, u64)>::from_value(val)?;
+                Ok(Run {
+                    start: u64::from_key(k)?,
+                    len,
+                    pba,
+                })
+            })
+            .collect::<Result<Vec<Run>, Error>>()?;
+        // Reversed then stably sorted: of equal starts the last one read
+        // comes first and survives the dedup.
+        runs.sort_by_key(|r| r.start);
+        runs.dedup_by_key(|r| r.start);
+        let leaves: Vec<Vec<Run>> = runs.chunks(LEAF_CAP).map(<[Run]>::to_vec).collect();
+        Ok(ExtentMap {
+            firsts: leaves.iter().map(|leaf| leaf[0].start).collect(),
+            leaves,
+            len: runs.len(),
+            mapped_sectors: u64::from_value(v.expect_field("mapped_sectors")?)?,
+        })
     }
 }
 
@@ -287,10 +505,10 @@ impl ExtentMap {
                 state = state.wrapping_mul(FNV_PRIME);
             }
         };
-        for (&start, &(len, pba)) in &self.extents {
-            mix(start);
-            mix(len);
-            mix(pba);
+        for run in self.runs() {
+            mix(run.start);
+            mix(run.len);
+            mix(run.pba);
         }
         state
     }

@@ -91,6 +91,10 @@ pub struct LogStructured {
     pending_defrag: Vec<(Lba, u64)>,
     /// Timestamp of the last applied operation (idle-gap detection).
     last_timestamp_us: u64,
+    /// Scratch buffer for the physical runs of the read being served,
+    /// reused so a read allocates nothing. Transient: cleared per read,
+    /// never snapshotted.
+    read_runs: Vec<(Pba, u64)>,
 }
 
 impl LogStructured {
@@ -112,6 +116,7 @@ impl LogStructured {
             range_accesses: HashMap::new(),
             pending_defrag: Vec::new(),
             last_timestamp_us: 0,
+            read_runs: Vec::new(),
             config,
         }
     }
@@ -230,6 +235,7 @@ impl LogStructured {
                 .collect(),
             pending_defrag: snap.pending_defrag,
             last_timestamp_us: snap.last_timestamp_us,
+            read_runs: Vec::new(),
             config: snap.config,
         }
     }
@@ -251,7 +257,7 @@ impl LogStructured {
         for (lba, sectors) in pending {
             // Skip ranges that became contiguous in the meantime (e.g. a
             // host overwrite re-wrote the whole range).
-            if self.physical_runs(lba, sectors).len() < 2 {
+            if self.map.fragments_in(lba, sectors) < 2 {
                 continue;
             }
             self.append_into(lba, sectors, sink);
@@ -304,25 +310,15 @@ impl LogStructured {
     /// The physically-contiguous runs a read of `[lba, lba+sectors)` must
     /// fetch, holes resolved to identity placement, adjacent pieces merged.
     pub fn physical_runs(&self, lba: Lba, sectors: u64) -> Vec<(Pba, u64)> {
-        let mut runs: Vec<(u64, u64)> = Vec::new();
-        // lookup_each folds the tiles without materializing a segment Vec —
-        // this runs once per translated read, the hottest map operation.
-        self.map.lookup_each(lba, sectors, |seg| {
-            let (start, len) = match seg {
-                Segment::Mapped(e) => (e.pba.sector(), e.sectors),
-                Segment::Hole { lba, sectors } => (lba.sector(), sectors),
-            };
-            match runs.last_mut() {
-                Some(last) if last.0 + last.1 == start => last.1 += len,
-                _ => runs.push((start, len)),
-            }
-        });
-        runs.into_iter().map(|(s, l)| (Pba::new(s), l)).collect()
+        let mut runs = Vec::new();
+        physical_runs_into(&self.map, lba, sectors, &mut runs);
+        runs
     }
 
     fn handle_read_into(&mut self, rec: &TraceRecord, sink: &mut dyn FnMut(PhysIo)) {
         let sectors = u64::from(rec.sectors);
-        let runs = self.physical_runs(rec.lba, sectors);
+        let mut runs = std::mem::take(&mut self.read_runs);
+        physical_runs_into(&self.map, rec.lba, sectors, &mut runs);
         let fragmented = runs.len() > 1;
         if fragmented {
             self.stats.fragmented_reads += 1;
@@ -403,6 +399,7 @@ impl LogStructured {
                 }
             }
         }
+        self.read_runs = runs;
     }
 
     /// Sink form of [`TranslationLayer::apply`]: applies one record, calling
@@ -469,6 +466,24 @@ impl LogStructured {
         self.apply_into(rec, &mut |io| last_end = Some(io.end().sector()));
         last_end
     }
+}
+
+/// Fills `runs` (cleared first) with the physical runs of
+/// [`LogStructured::physical_runs`]. `lookup_each` folds the tiles without
+/// materializing a segment `Vec`: this runs once per translated read, the
+/// hottest map operation.
+fn physical_runs_into(map: &ExtentMap, lba: Lba, sectors: u64, runs: &mut Vec<(Pba, u64)>) {
+    runs.clear();
+    map.lookup_each(lba, sectors, |seg| {
+        let (start, len) = match seg {
+            Segment::Mapped(e) => (e.pba, e.sectors),
+            Segment::Hole { lba, sectors } => (Pba::new(lba.sector()), sectors),
+        };
+        match runs.last_mut() {
+            Some((last, last_len)) if *last + *last_len == start => *last_len += len,
+            _ => runs.push((start, len)),
+        }
+    });
 }
 
 impl TranslationLayer for LogStructured {
