@@ -594,6 +594,33 @@ fn extension_commands_run() {
     }
 }
 
+/// `smrseek clean` replays its finite logs and the infinite-disk baseline
+/// through every translation path the cleaning experiment uses; its output
+/// is pinned byte for byte.
+#[test]
+fn clean_stdout_is_pinned() {
+    let out = smrseek(&["clean", "--ops", "3000"]);
+    assert!(out.status.success());
+    let expected = concat!(
+        "Extension — greedy cleaning on a finite log\n",
+        "utilization  WAF   cleanings  seeks (finite)  seeks (infinite)\n",
+        "--------------------------------------------------------------\n",
+        "        30%  1.00         54              46                 1\n",
+        "        50%  1.04         70             975                 1\n",
+        "        70%  1.23        112            4239                 1\n",
+        "        80%  1.54        162            8476                 1\n",
+        "\n",
+        "Extension — cleaning policy comparison at ~60% utilization\n",
+        "configuration            WAF   cleanings\n",
+        "----------------------------------------\n",
+        "greedy                   1.18         96\n",
+        "cost-benefit             1.17         96\n",
+        "greedy + hot/cold        1.07         82\n",
+        "cost-benefit + hot/cold  1.07         82\n",
+    );
+    assert_eq!(stdout(&out), expected);
+}
+
 #[test]
 fn stderr_is_quiet_by_default_and_env_restores_chatter() {
     // Successful runs print nothing to stderr at the default (warn)
