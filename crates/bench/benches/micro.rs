@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use smrseek_bench::{bench_trace, BENCH_OPS};
-use smrseek_cache::{ByteLru, RangeCache};
+use smrseek_cache::RangeCache;
 use smrseek_extent::ExtentMap;
 use smrseek_sim::{SimConfig, Simulation};
 use smrseek_stl::count_misordered_writes;
@@ -113,15 +113,6 @@ fn extent_map(c: &mut Criterion) {
 fn caches(c: &mut Criterion) {
     let mut group = c.benchmark_group("caches");
     group.throughput(Throughput::Elements(10_000));
-    group.bench_function("byte_lru_insert_10k", |b| {
-        b.iter(|| {
-            let mut lru = ByteLru::new(64 * MIB);
-            for i in 0..10_000u64 {
-                lru.insert(i % 4096, 16 * 1024);
-            }
-            black_box(lru.len())
-        })
-    });
     group.bench_function("range_cache_mixed_10k", |b| {
         let mut rng = StdRng::seed_from_u64(4);
         let ops: Vec<(u64, bool)> = (0..10_000)

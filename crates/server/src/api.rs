@@ -182,20 +182,37 @@ pub fn parse_config(v: &Value) -> Result<SimConfig, String> {
         // by NoLS — but accepting it would imply it did something.
         return Err("`zone_sectors` has no effect with layer \"nols\"".to_owned());
     }
-    // The adaptive knobs reuse the engine builder's validation so the API
-    // rejects exactly what `SimConfig::builder` would (zero regions, a
-    // policy with nothing to gate, a flash tier without its front cache).
-    if config.policy.is_some() || config.flash_cache_bytes.is_some() {
-        let mut builder = SimConfig::builder(config.layer);
-        if let Some(policy) = config.policy {
-            builder = builder.policy(policy);
-        }
-        if let Some(flash) = config.flash_cache_bytes {
-            builder = builder.flash_cache(flash);
-        }
-        builder.build().map_err(|e| e.to_string())?;
+    // Every knob goes through the engine builder, so the API rejects exactly
+    // what `SimConfig::builder` would (zones too small for a guard band, a
+    // zero-byte host cache, zero policy regions, a policy with nothing to
+    // gate, a flash tier without its front cache).
+    let mut builder = SimConfig::builder(config.layer);
+    if config.record_distances {
+        builder = builder.distances();
     }
-    Ok(config)
+    if config.track_fragments {
+        builder = builder.fragment_tracking();
+    }
+    // `0` is the config's "disabled"; only a real bucket width is checked.
+    if config.longseek_bucket_ops > 0 {
+        builder = builder.longseek_series(config.longseek_bucket_ops);
+    }
+    if let Some(bytes) = config.host_cache_bytes {
+        builder = builder.host_cache(bytes);
+    }
+    if let Some(sectors) = config.zone_sectors {
+        builder = builder.zones(sectors);
+    }
+    if let Some(top) = config.frontier_hint {
+        builder = builder.frontier_hint(top);
+    }
+    if let Some(policy) = config.policy {
+        builder = builder.policy(policy);
+    }
+    if let Some(bytes) = config.flash_cache_bytes {
+        builder = builder.flash_cache(bytes);
+    }
+    builder.build().map_err(|e| e.to_string())
 }
 
 /// Parses a `config.policy` object into a [`PolicyConfig`]. Starts from
@@ -363,6 +380,18 @@ mod tests {
             (
                 br#"{"trace": {"path": "a"}, "config": {"layer": "nols", "zone_sectors": 8}}"#,
                 "no effect",
+            ),
+            (
+                br#"{"trace": {"path": "a"}, "config": {"layer": "ls", "zone_sectors": 0}}"#,
+                "two sectors",
+            ),
+            (
+                br#"{"trace": {"path": "a"}, "config": {"layer": "ls", "zone_sectors": 1}}"#,
+                "two sectors",
+            ),
+            (
+                br#"{"trace": {"path": "a"}, "config": {"layer": "ls", "host_cache_bytes": 0}}"#,
+                "host cache",
             ),
             (
                 br#"{"trace": {"path": "a"},

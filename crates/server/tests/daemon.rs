@@ -406,6 +406,62 @@ fn status_envelope_inlines_the_result() {
     terminate(child);
 }
 
+/// Zones of 0 or 1 sectors used to be accepted, then panic (0) or spin a
+/// worker forever (1: every sector a guard band). They are rejected at
+/// submit time now, and the single worker stays free for the next job.
+#[test]
+fn degenerate_zone_sizes_get_400_and_the_worker_stays_free() {
+    let (child, addr) = spawn_daemon(&["--workers", "1"]);
+    for zones in [0, 1] {
+        let body = format!(
+            r#"{{"trace": {{"profile": "w91", "ops": 200}},
+                "config": {{"layer": "ls", "zone_sectors": {zones}}}}}"#
+        );
+        let resp = request(&addr, "POST", "/v1/jobs", Some(&body));
+        assert_eq!(
+            resp.status,
+            400,
+            "zone_sectors {zones}: {}",
+            resp.body_str()
+        );
+        assert!(
+            resp.body_str().contains("two sectors"),
+            "{}",
+            resp.body_str()
+        );
+    }
+    let submit = request(
+        &addr,
+        "POST",
+        "/v1/jobs",
+        Some(
+            r#"{"trace": {"profile": "w91", "ops": 200}, "config": {"layer": "ls", "zone_sectors": 2}}"#,
+        ),
+    );
+    assert_eq!(submit.status, 202, "{}", submit.body_str());
+    let id: u64 = submit
+        .body_str()
+        .split("\"id\":")
+        .nth(1)
+        .and_then(|rest| rest.split(|c: char| !c.is_ascii_digit()).next())
+        .and_then(|digits| digits.parse().ok())
+        .expect("submit response carries the job id");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        let body = request(&addr, "GET", &format!("/v1/jobs/{id}"), None).body_str();
+        if body.contains("\"status\":\"done\"") {
+            break;
+        }
+        assert!(
+            !body.contains("\"status\":\"failed\""),
+            "job failed: {body}"
+        );
+        assert!(Instant::now() < deadline, "job finished in time: {body}");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    terminate(child);
+}
+
 #[test]
 fn full_queue_backpressure_over_the_wire() {
     // workers = 0 keeps the single queue slot occupied deterministically;

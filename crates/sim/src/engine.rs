@@ -16,7 +16,7 @@ use crate::checkpoint::CheckpointStore;
 
 use serde::{Deserialize, Serialize};
 use smrseek_cache::{RangeCache, TierStats};
-use smrseek_disk::{Cdf, LongSeekSeries, SeekCounter, SeekCounterState, SeekStats};
+use smrseek_disk::{Cdf, LongSeekSeries, PhysIo, SeekCounter, SeekCounterState, SeekStats};
 use smrseek_extent::ExtentMapCheckpoint;
 use smrseek_obs::{phase_accounting, Phase, PhaseTotals};
 use smrseek_policy::{PolicyConfig, PolicyEngine, PolicyStats};
@@ -300,9 +300,9 @@ impl SimConfig {
 
     /// A validating builder over `layer`: the same knobs as the `with_*`
     /// methods, but degenerate values (zero-byte caches, a zero checkpoint
-    /// cadence, zero-sector zones) surface as a typed [`ConfigError`] at
-    /// [`build`](SimConfigBuilder::build) time instead of panicking or
-    /// being silently clamped mid-run.
+    /// cadence, zones too small for a guard band) surface as a typed
+    /// [`ConfigError`] at [`build`](SimConfigBuilder::build) time instead of
+    /// panicking, hanging or being silently clamped mid-run.
     pub fn builder(layer: LayerChoice) -> SimConfigBuilder {
         SimConfigBuilder {
             config: SimConfig {
@@ -323,8 +323,10 @@ pub enum ConfigError {
     ZeroHostCache,
     /// The selective cache ([`CacheConfig`]) was given zero capacity.
     ZeroSelectiveCache,
-    /// Zones of zero sectors cannot hold any write.
-    ZeroZoneSectors,
+    /// Zones need at least two sectors: one for data and the guard band
+    /// after it. A one-sector zone is all guard and holds no write; a
+    /// zero-sector zone has no extent at all.
+    ZoneTooSmall,
     /// A checkpoint cadence of zero records would either checkpoint after
     /// every record or never, depending on interpretation; the engine used
     /// to silently disable it — now it is rejected up front.
@@ -355,7 +357,9 @@ impl std::fmt::Display for ConfigError {
         let msg = match self {
             ConfigError::ZeroHostCache => "host cache capacity must be at least one byte",
             ConfigError::ZeroSelectiveCache => "selective cache capacity must be at least one byte",
-            ConfigError::ZeroZoneSectors => "zones must span at least one sector",
+            ConfigError::ZoneTooSmall => {
+                "zones must span at least two sectors (one data sector and its guard band)"
+            }
             ConfigError::ZeroCheckpointCadence => "checkpoint cadence must be at least one record",
             ConfigError::ZeroLongseekBucket => {
                 "long-seek series buckets must span at least one operation"
@@ -472,8 +476,8 @@ impl SimConfigBuilder {
         if config.host_cache_bytes == Some(0) {
             return Err(ConfigError::ZeroHostCache);
         }
-        if config.zone_sectors == Some(0) {
-            return Err(ConfigError::ZeroZoneSectors);
+        if config.zone_sectors.is_some_and(|z| z < 2) {
+            return Err(ConfigError::ZoneTooSmall);
         }
         if config.checkpoint_every == Some(0) {
             return Err(ConfigError::ZeroCheckpointCadence);
@@ -687,10 +691,10 @@ enum LayerImpl {
 }
 
 impl LayerImpl {
-    fn apply(&mut self, rec: &TraceRecord) -> Vec<smrseek_disk::PhysIo> {
+    fn apply_into(&mut self, rec: &TraceRecord, sink: &mut dyn FnMut(PhysIo)) {
         match self {
-            LayerImpl::NoLs(l) => l.apply(rec),
-            LayerImpl::Ls(l) => l.apply(rec),
+            LayerImpl::NoLs(l) => l.apply_into(rec, sink),
+            LayerImpl::Ls(l) => l.apply_into(rec, sink),
         }
     }
 
@@ -764,6 +768,10 @@ struct EngineState {
     /// branch and no clock reads.
     timing: bool,
     phases: PhaseTotals,
+    /// Scratch buffer for the physical I/O of the record being replayed,
+    /// reused so a step allocates nothing. Transient: cleared per record,
+    /// never snapshotted.
+    ios: Vec<PhysIo>,
 }
 
 /// The [`LsConfig`] a fresh run of `config` builds its layer from.
@@ -771,7 +779,8 @@ struct EngineState {
 /// # Panics
 ///
 /// Panics when `config` is log-structured without a frontier hint (see the
-/// message; [`Simulation::run_trace`] derives the hint before calling).
+/// message; [`Simulation::run_trace`] derives the hint before calling), or
+/// with zones under two sectors ([`SimConfig::builder`] rejects those).
 fn ls_config_for(config: &SimConfig) -> Option<LsConfig> {
     match config.layer {
         LayerChoice::NoLs => None,
@@ -792,8 +801,10 @@ fn ls_config_for(config: &SimConfig) -> Option<LsConfig> {
             ls_config.cache = cache;
             ls_config.flash_cache_bytes = config.flash_cache_bytes;
             ls_config.track_fragments = config.track_fragments;
-            ls_config.zone_sectors = config.zone_sectors;
-            Some(ls_config)
+            Some(match config.zone_sectors {
+                Some(z) => ls_config.with_zones(z),
+                None => ls_config,
+            })
         }
     }
 }
@@ -835,6 +846,7 @@ impl EngineState {
             policy,
             timing: phase_accounting(),
             phases: PhaseTotals::default(),
+            ios: Vec::new(),
         }
     }
 
@@ -865,6 +877,7 @@ impl EngineState {
             // simulation state): a resumed run accounts only for the
             // records it replays itself.
             phases: PhaseTotals::default(),
+            ios: Vec::new(),
         }
     }
 
@@ -906,7 +919,9 @@ impl EngineState {
                 *t = Instant::now();
             }
         }
-        let ios = self.layer.apply(rec);
+        let ios = &mut self.ios;
+        ios.clear();
+        self.layer.apply_into(rec, &mut |io| ios.push(io));
         if let Some(t) = &mut mark {
             self.phases.record(Phase::Lookup, t.elapsed());
             *t = Instant::now();
@@ -931,9 +946,9 @@ impl EngineState {
                 *t = Instant::now();
             }
         }
-        for io in ios {
+        for io in &self.ios {
             self.phys_sectors += io.sectors;
-            if let Some(seek) = self.counter.observe(&io) {
+            if let Some(seek) = self.counter.observe(io) {
                 if let Some(series) = &mut self.series {
                     series.record(i, &seek);
                 }
@@ -1596,10 +1611,6 @@ pub fn prepass_records_on_thread() -> u64 {
     PREPASS_RECORDS_THREAD.with(|c| c.get())
 }
 
-/// Store key for the prepass boundary checkpoint at record `bound` of a
-/// `shards`-way split: the canonical config key (the frontier hint was
-/// already resolved by `run_trace`) extended with the split geometry so
-/// different shard counts never collide.
 /// Constructs a policy engine for a fresh (non-resumed) run, informing it
 /// whether the layer carries a selective cache — with one downstream, the
 /// policy reserves defrag rewrites entirely (cache fills mitigate the same
@@ -1611,6 +1622,10 @@ fn fresh_policy(config: PolicyConfig, sim: &SimConfig) -> PolicyEngine {
     engine
 }
 
+/// Store key for the prepass boundary checkpoint at record `bound` of a
+/// `shards`-way split: the canonical config key (the frontier hint was
+/// already resolved by `run_trace`) extended with the split geometry so
+/// different shard counts never collide.
 fn prepass_key(config: &SimConfig, shards: usize, bound: usize) -> String {
     format!("{}|prepass:{shards}:{bound}", config.cache_key(None))
 }
@@ -2081,6 +2096,18 @@ mod tests {
     }
 
     #[test]
+    fn builder_rejects_zones_below_two_sectors() {
+        let zoned = |sectors| {
+            SimConfig::builder(SimConfig::log_structured().layer)
+                .zones(sectors)
+                .build()
+        };
+        assert_eq!(zoned(0), Err(ConfigError::ZoneTooSmall));
+        assert_eq!(zoned(1), Err(ConfigError::ZoneTooSmall));
+        assert_eq!(zoned(2).map(|c| c.zone_sectors), Ok(Some(2)));
+    }
+
+    #[test]
     fn builder_rejects_degenerate_knobs() {
         let nols = || SimConfig::builder(LayerChoice::NoLs);
         assert_eq!(
@@ -2096,12 +2123,6 @@ mod tests {
             Err(ConfigError::ZeroLongseekBucket)
         );
         assert_eq!(nols().zones(512).build(), Err(ConfigError::ZonesWithoutLs));
-        assert_eq!(
-            SimConfig::builder(SimConfig::log_structured().layer)
-                .zones(0)
-                .build(),
-            Err(ConfigError::ZeroZoneSectors)
-        );
         let empty_cache = CacheConfig {
             capacity_bytes: 0,
             ..CacheConfig::default()

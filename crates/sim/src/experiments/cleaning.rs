@@ -9,6 +9,7 @@
 //! assumption buys.
 
 use super::ExpOptions;
+use crate::engine::{SimConfig, Simulation};
 use crate::report::TextTable;
 use serde::Serialize;
 use smrseek_disk::SeekCounter;
@@ -66,23 +67,17 @@ pub fn run_at(live_fraction: f64, opts: &ExpOptions) -> CleaningPoint {
     let mut log = CleaningLog::new(CleanerConfig::new(Pba::new(1 << 30), SEG_SECTORS, SEGMENTS));
     let mut counter = SeekCounter::new();
     for rec in &trace {
-        for io in log.apply(rec) {
+        log.apply_into(rec, &mut |io| {
             counter.observe(&io);
-        }
+        });
     }
 
-    // The same workload on the infinite-disk log for comparison.
-    let infinite = {
-        use smrseek_stl::{LogStructured, LsConfig};
-        let mut ls = LogStructured::new(LsConfig::new(Lba::new(1 << 30)));
-        let mut c = SeekCounter::new();
-        for rec in &trace {
-            for io in ls.apply(rec) {
-                c.observe(&io);
-            }
-        }
-        c.stats().total()
-    };
+    // The same workload on the infinite-disk log for comparison, its
+    // frontier at the finite log's start.
+    let infinite = Simulation::new(&SimConfig::log_structured().with_frontier_hint(1 << 30))
+        .run_trace(&trace)
+        .seeks
+        .total();
 
     CleaningPoint {
         utilization: log.utilization(),
@@ -153,7 +148,7 @@ pub fn compare_policies(opts: &ExpOptions) -> Vec<PolicyRow> {
         .map(|(name, config)| {
             let mut log = CleaningLog::new(*config);
             for rec in &trace {
-                log.apply(rec);
+                log.apply_into(rec, &mut |_| {});
             }
             PolicyRow {
                 config: (*name).to_owned(),

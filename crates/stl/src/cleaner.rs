@@ -14,6 +14,7 @@
 //!   segment with the fewest valid sectors to the log head and frees it.
 
 use crate::layer::TranslationLayer;
+use crate::log::physical_runs_into;
 use serde::{Deserialize, Serialize};
 use smrseek_disk::PhysIo;
 use smrseek_extent::{ExtentMap, Segment};
@@ -278,8 +279,14 @@ impl CleaningLog {
 
     /// Appends `sectors` for `lba` on `stream` for a **host** write,
     /// opening segments and cleaning as needed. Emits the physical writes
-    /// (and any cleaning I/O) into `out`.
-    fn append(&mut self, mut lba: Lba, mut sectors: u64, stream: usize, out: &mut Vec<PhysIo>) {
+    /// (and any cleaning I/O) into `sink`.
+    fn append(
+        &mut self,
+        mut lba: Lba,
+        mut sectors: u64,
+        stream: usize,
+        sink: &mut dyn FnMut(PhysIo),
+    ) {
         while sectors > 0 {
             let (active, offset) = self.streams[stream];
             let room = self.config.segment_sectors - offset;
@@ -289,7 +296,7 @@ impl CleaningLog {
                 // own copies draw on the reserve via `append_gc`, never
                 // re-entering this path.
                 while self.free_segments() <= self.config.reserve_segments {
-                    self.clean_one(out);
+                    self.clean_one(sink);
                 }
                 // Cleaning copies may themselves have opened (and
                 // partially filled) a new active segment on this stream —
@@ -303,7 +310,7 @@ impl CleaningLog {
                 continue;
             }
             let take = sectors.min(room);
-            self.write_at_head(lba, take, stream, out);
+            self.write_at_head(lba, take, stream, sink);
             lba += take;
             sectors -= take;
         }
@@ -318,7 +325,7 @@ impl CleaningLog {
     ///
     /// Panics if the reserve is exhausted mid-copy (a configuration with
     /// `reserve_segments` < 1, which the constructor rejects).
-    fn append_gc(&mut self, mut lba: Lba, mut sectors: u64, out: &mut Vec<PhysIo>) {
+    fn append_gc(&mut self, mut lba: Lba, mut sectors: u64, sink: &mut dyn FnMut(PhysIo)) {
         let stream = if self.config.separate_hot_cold {
             COLD
         } else {
@@ -333,13 +340,13 @@ impl CleaningLog {
                 continue;
             }
             let take = sectors.min(room);
-            self.write_at_head(lba, take, stream, out);
+            self.write_at_head(lba, take, stream, sink);
             lba += take;
             sectors -= take;
         }
     }
 
-    fn write_at_head(&mut self, lba: Lba, take: u64, stream: usize, out: &mut Vec<PhysIo>) {
+    fn write_at_head(&mut self, lba: Lba, take: u64, stream: usize, sink: &mut dyn FnMut(PhysIo)) {
         let (active, offset) = self.streams[stream];
         let at = self.segment_start(active) + offset;
         self.devalidate(lba, take);
@@ -348,7 +355,7 @@ impl CleaningLog {
         self.streams[stream].1 += take;
         self.op_clock += 1;
         self.seg_mtime[active] = self.op_clock;
-        out.push(PhysIo::write(at, take));
+        sink(PhysIo::write(at, take));
     }
 
     fn activate_next_free(&mut self, stream: usize) {
@@ -369,7 +376,7 @@ impl CleaningLog {
     /// Panics if no closed segment exists (the log is misconfigured) or
     /// the log is overcommitted (utilization too close to 1 to make
     /// progress).
-    fn clean_one(&mut self, out: &mut Vec<PhysIo>) {
+    fn clean_one(&mut self, sink: &mut dyn FnMut(PhysIo)) {
         let victim = self
             .select_victim()
             .expect("a closed segment must exist to clean");
@@ -399,7 +406,7 @@ impl CleaningLog {
         self.stats.cleanings += 1;
         self.stats.segments_freed += 1;
         for (lba, sectors, pba) in live {
-            out.push(PhysIo::read(pba, sectors));
+            sink(PhysIo::read(pba, sectors));
             self.stats.gc_copied_sectors += sectors;
             // Rewriting live data uses the GC append path, which draws on
             // the cleaning reserve and never re-enters cleaning. Each
@@ -408,7 +415,7 @@ impl CleaningLog {
             // freed only *after* the copies, so the GC cannot reuse it as
             // the new active segment while old mappings still point into
             // it (which would corrupt the valid accounting).
-            self.append_gc(lba, sectors, out);
+            self.append_gc(lba, sectors, sink);
         }
         debug_assert_eq!(
             self.valid[victim], 0,
@@ -445,29 +452,17 @@ impl CleaningLog {
 }
 
 impl TranslationLayer for CleaningLog {
-    fn apply(&mut self, rec: &TraceRecord) -> Vec<PhysIo> {
+    fn apply_into(&mut self, rec: &TraceRecord, sink: &mut dyn FnMut(PhysIo)) {
+        let sectors = u64::from(rec.sectors);
         match rec.op {
             OpKind::Write => {
-                let mut out = Vec::new();
-                self.stats.host_write_sectors += u64::from(rec.sectors);
-                let stream = self.classify(rec.lba, u64::from(rec.sectors));
-                self.append(rec.lba, u64::from(rec.sectors), stream, &mut out);
-                out
+                self.stats.host_write_sectors += sectors;
+                let stream = self.classify(rec.lba, sectors);
+                self.append(rec.lba, sectors, stream, sink);
             }
-            OpKind::Read => {
-                let mut out: Vec<PhysIo> = Vec::new();
-                for seg in self.map.lookup(rec.lba, u64::from(rec.sectors)) {
-                    let (start, len) = match seg {
-                        Segment::Mapped(e) => (e.pba, e.sectors),
-                        Segment::Hole { lba, sectors } => (Pba::new(lba.sector()), sectors),
-                    };
-                    match out.last_mut() {
-                        Some(last) if last.end() == start => last.sectors += len,
-                        _ => out.push(PhysIo::read(start, len)),
-                    }
-                }
-                out
-            }
+            OpKind::Read => physical_runs_into(&self.map, rec.lba, sectors, |pba, len| {
+                sink(PhysIo::read(pba, len));
+            }),
         }
     }
 

@@ -11,12 +11,19 @@ use smrseek_trace::{Pba, TraceRecord};
 /// deterministic: the same record sequence always yields the same physical
 /// operation sequence.
 pub trait TranslationLayer {
-    /// Applies one logical operation and returns the physical operations it
-    /// caused, in the order the medium performs them.
-    fn apply(&mut self, rec: &TraceRecord) -> Vec<PhysIo>;
+    /// Applies one logical operation, calling `sink` with each physical
+    /// operation it caused, in the order the medium performs them.
+    fn apply_into(&mut self, rec: &TraceRecord, sink: &mut dyn FnMut(PhysIo));
 
     /// A short human-readable name for reports ("NoLS", "LS", ...).
     fn name(&self) -> &str;
+
+    /// [`apply_into`](Self::apply_into), collected into a `Vec`.
+    fn apply(&mut self, rec: &TraceRecord) -> Vec<PhysIo> {
+        let mut out = Vec::new();
+        self.apply_into(rec, &mut |io| out.push(io));
+        out
+    }
 }
 
 /// Conventional update-in-place translation: every logical operation maps
@@ -50,12 +57,12 @@ impl NoLs {
 }
 
 impl TranslationLayer for NoLs {
-    fn apply(&mut self, rec: &TraceRecord) -> Vec<PhysIo> {
-        vec![PhysIo::new(
+    fn apply_into(&mut self, rec: &TraceRecord, sink: &mut dyn FnMut(PhysIo)) {
+        sink(PhysIo::new(
             rec.op,
             Pba::new(rec.lba.sector()),
             u64::from(rec.sectors),
-        )]
+        ));
     }
 
     fn name(&self) -> &str {

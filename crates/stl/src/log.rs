@@ -178,9 +178,9 @@ impl LogStructured {
 
     /// Sets the per-region mechanism gates the *next* record is served
     /// under. An adaptive policy engine calls this before every
-    /// [`apply`](TranslationLayer::apply); without a policy the gates stay
-    /// at their permissive default and behaviour is identical to the fixed
-    /// mechanisms.
+    /// [`apply_into`](TranslationLayer::apply_into); without a policy the
+    /// gates stay at their permissive default and behaviour is identical to
+    /// the fixed mechanisms.
     pub fn set_gates(&mut self, gates: GateSet) {
         self.gates = gates;
     }
@@ -241,18 +241,10 @@ impl LogStructured {
     }
 
     /// Rewrites every queued range as one batch at the frontier (a single
-    /// seek for the whole batch) and returns the physical writes. Called
-    /// automatically when an idle gap is detected; callable directly to
-    /// model an explicit flush (e.g. at shutdown).
-    pub fn flush_defrag_queue(&mut self) -> Vec<PhysIo> {
-        let mut out = Vec::new();
-        self.flush_defrag_queue_into(&mut |io| out.push(io));
-        out
-    }
-
-    /// Sink form of [`flush_defrag_queue`](Self::flush_defrag_queue): emits
-    /// the same writes in the same order without materializing a `Vec`.
-    fn flush_defrag_queue_into(&mut self, sink: &mut dyn FnMut(PhysIo)) {
+    /// seek for the whole batch), calling `sink` with the physical writes.
+    /// Called automatically when an idle gap is detected; callable directly
+    /// to model an explicit flush (e.g. at shutdown).
+    pub fn flush_defrag_queue(&mut self, sink: &mut dyn FnMut(PhysIo)) {
         let pending = std::mem::take(&mut self.pending_defrag);
         for (lba, sectors) in pending {
             // Skip ranges that became contiguous in the meantime (e.g. a
@@ -311,14 +303,17 @@ impl LogStructured {
     /// fetch, holes resolved to identity placement, adjacent pieces merged.
     pub fn physical_runs(&self, lba: Lba, sectors: u64) -> Vec<(Pba, u64)> {
         let mut runs = Vec::new();
-        physical_runs_into(&self.map, lba, sectors, &mut runs);
+        physical_runs_into(&self.map, lba, sectors, |pba, len| runs.push((pba, len)));
         runs
     }
 
     fn handle_read_into(&mut self, rec: &TraceRecord, sink: &mut dyn FnMut(PhysIo)) {
         let sectors = u64::from(rec.sectors);
         let mut runs = std::mem::take(&mut self.read_runs);
-        physical_runs_into(&self.map, rec.lba, sectors, &mut runs);
+        runs.clear();
+        physical_runs_into(&self.map, rec.lba, sectors, |pba, len| {
+            runs.push((pba, len))
+        });
         let fragmented = runs.len() > 1;
         if fragmented {
             self.stats.fragmented_reads += 1;
@@ -402,39 +397,11 @@ impl LogStructured {
         self.read_runs = runs;
     }
 
-    /// Sink form of [`TranslationLayer::apply`]: applies one record, calling
-    /// `sink` with each physical operation in the exact order `apply` would
-    /// have returned them, without materializing a `Vec`.
-    pub fn apply_into(&mut self, rec: &TraceRecord, sink: &mut dyn FnMut(PhysIo)) {
-        // Idle-time defragmentation: if the gap since the previous
-        // operation was long enough, the queued rewrites happened during
-        // it — emit them before this operation's I/O.
-        if let Some(d) = self.config.defrag {
-            if let DefragTiming::Idle { min_gap_us } = d.timing {
-                if !self.pending_defrag.is_empty()
-                    && rec.timestamp_us.saturating_sub(self.last_timestamp_us) >= min_gap_us
-                {
-                    self.flush_defrag_queue_into(sink);
-                }
-            }
-        }
-        self.last_timestamp_us = rec.timestamp_us;
-        match rec.op {
-            OpKind::Write => {
-                self.stats.logical_writes += 1;
-                self.append_into(rec.lba, u64::from(rec.sectors), sink);
-            }
-            OpKind::Read => {
-                self.stats.logical_reads += 1;
-                self.handle_read_into(rec, sink);
-            }
-        }
-    }
-
     /// Applies one record to the layer's *behavioural* state only, returning
     /// the physical sector one past the end of the last I/O a full
-    /// [`apply`](TranslationLayer::apply) would have emitted (`None` when
-    /// the record emits no I/O, in which case the disk head does not move).
+    /// [`apply_into`](TranslationLayer::apply_into) would have emitted
+    /// (`None` when the record emits no I/O, in which case the disk head
+    /// does not move).
     ///
     /// This is the sharded-replay prepass primitive: it advances everything
     /// that influences future translations and emitted I/O — extent map,
@@ -468,29 +435,63 @@ impl LogStructured {
     }
 }
 
-/// Fills `runs` (cleared first) with the physical runs of
-/// [`LogStructured::physical_runs`]. `lookup_each` folds the tiles without
-/// materializing a segment `Vec`: this runs once per translated read, the
-/// hottest map operation.
-fn physical_runs_into(map: &ExtentMap, lba: Lba, sectors: u64, runs: &mut Vec<(Pba, u64)>) {
-    runs.clear();
+/// Calls `emit` with each physically-contiguous run, in logical order, that
+/// a read of `[lba, lba+sectors)` through `map` must fetch: holes resolve to
+/// their identity placement and physically adjacent pieces merge. Every
+/// layer's read translates through this routine. `lookup_each` folds the
+/// tiles without materializing a segment `Vec`: this runs once per
+/// translated read, the hottest map operation.
+pub(crate) fn physical_runs_into(
+    map: &ExtentMap,
+    lba: Lba,
+    sectors: u64,
+    mut emit: impl FnMut(Pba, u64),
+) {
+    let mut run: Option<(Pba, u64)> = None;
     map.lookup_each(lba, sectors, |seg| {
         let (start, len) = match seg {
             Segment::Mapped(e) => (e.pba, e.sectors),
             Segment::Hole { lba, sectors } => (Pba::new(lba.sector()), sectors),
         };
-        match runs.last_mut() {
-            Some((last, last_len)) if *last + *last_len == start => *last_len += len,
-            _ => runs.push((start, len)),
+        match &mut run {
+            Some((at, run_len)) if *at + *run_len == start => *run_len += len,
+            _ => {
+                if let Some((at, run_len)) = run.replace((start, len)) {
+                    emit(at, run_len);
+                }
+            }
         }
     });
+    if let Some((at, run_len)) = run {
+        emit(at, run_len);
+    }
 }
 
 impl TranslationLayer for LogStructured {
-    fn apply(&mut self, rec: &TraceRecord) -> Vec<PhysIo> {
-        let mut out = Vec::new();
-        self.apply_into(rec, &mut |io| out.push(io));
-        out
+    fn apply_into(&mut self, rec: &TraceRecord, sink: &mut dyn FnMut(PhysIo)) {
+        // Idle-time defragmentation: if the gap since the previous
+        // operation was long enough, the queued rewrites happened during
+        // it — emit them before this operation's I/O.
+        if let Some(d) = self.config.defrag {
+            if let DefragTiming::Idle { min_gap_us } = d.timing {
+                if !self.pending_defrag.is_empty()
+                    && rec.timestamp_us.saturating_sub(self.last_timestamp_us) >= min_gap_us
+                {
+                    self.flush_defrag_queue(sink);
+                }
+            }
+        }
+        self.last_timestamp_us = rec.timestamp_us;
+        match rec.op {
+            OpKind::Write => {
+                self.stats.logical_writes += 1;
+                self.append_into(rec.lba, u64::from(rec.sectors), sink);
+            }
+            OpKind::Read => {
+                self.stats.logical_reads += 1;
+                self.handle_read_into(rec, sink);
+            }
+        }
     }
 
     fn name(&self) -> &str {
@@ -934,7 +935,8 @@ mod tests {
         ls.apply(&TraceRecord::read(2, lba(0), 6)); // queued
                                                     // The host overwrites the whole range: now contiguous by itself.
         ls.apply(&TraceRecord::write(3, lba(0), 6));
-        let flushed = ls.flush_defrag_queue();
+        let mut flushed = Vec::new();
+        ls.flush_defrag_queue(&mut |io| flushed.push(io));
         assert!(
             flushed.is_empty(),
             "nothing left to defragment: {flushed:?}"

@@ -14,6 +14,7 @@
 //! avoids entirely.
 
 use crate::layer::TranslationLayer;
+use crate::log::physical_runs_into;
 use serde::{Deserialize, Serialize};
 use smrseek_disk::PhysIo;
 use smrseek_extent::{ExtentMap, Segment};
@@ -89,11 +90,6 @@ pub struct MediaCacheStl {
     cache_frontier: Pba,
     cache_used: u64,
     stats: MediaCacheStats,
-    /// When closed, capacity-triggered merges are deferred (the cache runs
-    /// over budget) until the gate reopens — the media-cache analogue of
-    /// the policy engine's defrag gate: merge work is shifted out of hot
-    /// phases. Transient; defaults to open.
-    merge_gate: bool,
 }
 
 impl MediaCacheStl {
@@ -110,17 +106,8 @@ impl MediaCacheStl {
             map: ExtentMap::new(),
             cache_used: 0,
             stats: MediaCacheStats::default(),
-            merge_gate: true,
             config,
         }
-    }
-
-    /// Opens or closes the merge gate. While closed, cache fills no longer
-    /// trigger merges (the cache runs over budget); reopening does not
-    /// merge by itself — the next capacity-checked write does, or call
-    /// [`merge`](Self::merge) explicitly.
-    pub fn set_merge_gate(&mut self, open: bool) {
-        self.merge_gate = open;
     }
 
     /// Instrumentation counters.
@@ -134,10 +121,10 @@ impl MediaCacheStl {
     }
 
     /// Merges every dirty zone back to its identity location, in LBA
-    /// order, and resets the cache. Returns the physical operations of the
-    /// merge (zone read + cached-extent reads + sequential zone write, per
-    /// zone).
-    pub fn merge(&mut self) -> Vec<PhysIo> {
+    /// order, and resets the cache. Calls `sink` with the physical
+    /// operations of the merge (zone read + cached-extent reads +
+    /// sequential zone write, per zone).
+    pub fn merge(&mut self, sink: &mut dyn FnMut(PhysIo)) {
         let zones: BTreeSet<u64> = self
             .map
             .iter()
@@ -147,22 +134,19 @@ impl MediaCacheStl {
                 first..=last
             })
             .collect();
-        let mut phys = Vec::new();
         for zone in zones {
             let zone_start = zone * self.config.zone_sectors;
             // Read the old zone contents...
-            phys.push(PhysIo::read(Pba::new(zone_start), self.config.zone_sectors));
+            sink(PhysIo::read(Pba::new(zone_start), self.config.zone_sectors));
             // ...and the cached updates belonging to it...
-            for seg in self
-                .map
-                .lookup(Lba::new(zone_start), self.config.zone_sectors)
-            {
-                if let Segment::Mapped(e) = seg {
-                    phys.push(PhysIo::read(e.pba, e.sectors));
-                }
-            }
+            self.map
+                .lookup_each(Lba::new(zone_start), self.config.zone_sectors, |seg| {
+                    if let Segment::Mapped(e) = seg {
+                        sink(PhysIo::read(e.pba, e.sectors));
+                    }
+                });
             // ...then rewrite the zone sequentially in place.
-            phys.push(PhysIo::write(
+            sink(PhysIo::write(
                 Pba::new(zone_start),
                 self.config.zone_sectors,
             ));
@@ -173,41 +157,28 @@ impl MediaCacheStl {
         self.cache_frontier = self.config.cache_start;
         self.cache_used = 0;
         self.stats.merges += 1;
-        phys
     }
 }
 
 impl TranslationLayer for MediaCacheStl {
-    fn apply(&mut self, rec: &TraceRecord) -> Vec<PhysIo> {
+    fn apply_into(&mut self, rec: &TraceRecord, sink: &mut dyn FnMut(PhysIo)) {
+        let sectors = u64::from(rec.sectors);
         match rec.op {
             OpKind::Write => {
-                let sectors = u64::from(rec.sectors);
                 let at = self.cache_frontier;
                 self.map.insert(rec.lba, sectors, at);
                 self.cache_frontier += sectors;
                 self.cache_used += sectors;
                 self.stats.host_write_sectors += sectors;
                 self.stats.media_write_sectors += sectors;
-                let mut phys = vec![PhysIo::write(at, sectors)];
-                if self.merge_gate && self.cache_used >= self.config.capacity_sectors {
-                    phys.extend(self.merge());
+                sink(PhysIo::write(at, sectors));
+                if self.cache_used >= self.config.capacity_sectors {
+                    self.merge(sink);
                 }
-                phys
             }
-            OpKind::Read => {
-                let mut phys: Vec<PhysIo> = Vec::new();
-                for seg in self.map.lookup(rec.lba, u64::from(rec.sectors)) {
-                    let (start, len) = match seg {
-                        Segment::Mapped(e) => (e.pba, e.sectors),
-                        Segment::Hole { lba, sectors } => (Pba::new(lba.sector()), sectors),
-                    };
-                    match phys.last_mut() {
-                        Some(last) if last.end() == start => last.sectors += len,
-                        _ => phys.push(PhysIo::read(start, len)),
-                    }
-                }
-                phys
-            }
+            OpKind::Read => physical_runs_into(&self.map, rec.lba, sectors, |pba, len| {
+                sink(PhysIo::read(pba, len));
+            }),
         }
     }
 
@@ -274,7 +245,8 @@ mod tests {
     fn merge_spanning_extent_touches_both_zones() {
         let mut stl = MediaCacheStl::new(cfg(1000));
         stl.apply(&TraceRecord::write(0, Lba::new(95), 10)); // zones 0 and 1
-        let phys = stl.merge();
+        let mut phys = Vec::new();
+        stl.merge(&mut |io| phys.push(io));
         assert_eq!(stl.stats().zones_rewritten, 2);
         let writes: Vec<_> = phys.iter().filter(|p| p.op == OpKind::Write).collect();
         assert_eq!(writes.len(), 2);
@@ -305,23 +277,5 @@ mod tests {
     #[should_panic(expected = "non-empty")]
     fn zero_capacity_panics() {
         MediaCacheStl::new(cfg(0));
-    }
-
-    #[test]
-    fn closed_merge_gate_defers_capacity_merges() {
-        let mut stl = MediaCacheStl::new(cfg(16));
-        stl.set_merge_gate(false);
-        stl.apply(&TraceRecord::write(0, Lba::new(10), 8));
-        stl.apply(&TraceRecord::write(1, Lba::new(150), 8));
-        stl.apply(&TraceRecord::write(2, Lba::new(300), 8));
-        assert_eq!(stl.stats().merges, 0, "gate closed: no merge");
-        assert_eq!(stl.cache_used(), 24, "cache ran over budget");
-        // Reopening lets the next capacity-checked write merge everything.
-        stl.set_merge_gate(true);
-        let phys = stl.apply(&TraceRecord::write(3, Lba::new(450), 8));
-        assert_eq!(stl.stats().merges, 1);
-        assert_eq!(stl.stats().zones_rewritten, 4);
-        assert_eq!(stl.cache_used(), 0);
-        assert!(phys.len() > 1);
     }
 }
