@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use smrseek_bench::{bench_trace, BENCH_OPS};
-use smrseek_cache::RangeCache;
+use smrseek_cache::{RangeCache, TieredCache};
 use smrseek_extent::ExtentMap;
 use smrseek_sim::{SimConfig, Simulation};
 use smrseek_stl::count_misordered_writes;
@@ -126,6 +126,59 @@ fn caches(c: &mut Criterion) {
                     hits += u64::from(cache.covers(Pba::new(pba), 32));
                 } else {
                     cache.insert(Pba::new(pba), 32);
+                }
+            }
+            black_box(hits)
+        })
+    });
+
+    // The selective cache on a read-mostly trace (w91): ~8k small cached
+    // fragments, re-read at random, a quarter of the reads also spanning
+    // the next 8 sectors (cached half the time). Most queries hit and
+    // refresh one or two entries.
+    let mut rng = StdRng::seed_from_u64(6);
+    let mut warm = RangeCache::with_capacity_bytes(64 * MIB);
+    let starts: Vec<u64> = (0..16_384u64)
+        .filter(|_| rng.gen_bool(0.5))
+        .map(|slot| slot * 8)
+        .collect();
+    for &s in &starts {
+        warm.insert(Pba::new(s), 8);
+    }
+    let reads: Vec<(u64, u64)> = (0..8192)
+        .map(|_| {
+            let s = starts[rng.gen_range(0..starts.len())];
+            (s, if rng.gen_bool(0.25) { 16 } else { 8 })
+        })
+        .collect();
+    group.throughput(Throughput::Elements(reads.len() as u64));
+    group.bench_function("range_cache_hits_8k", |b| {
+        b.iter(|| {
+            let mut hits = 0u64;
+            for &(pba, len) in &reads {
+                hits += u64::from(warm.covers(Pba::new(pba), len));
+            }
+            black_box(hits)
+        })
+    });
+
+    // The two-tier cache under churn (w20 with a flash tier): reads over
+    // a span four times both tiers; every miss is admitted, so RAM
+    // victims demote to flash and flash victims drop, call after call.
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut tiered = TieredCache::with_flash_sectors(16_384, 65_536);
+    let reads: Vec<u64> = (0..10_000)
+        .map(|_| rng.gen_range(0..1u64 << 14) * 20)
+        .collect();
+    group.throughput(Throughput::Elements(reads.len() as u64));
+    group.bench_function("tiered_churn_flash", |b| {
+        b.iter(|| {
+            let mut hits = 0u64;
+            for &pba in &reads {
+                if tiered.lookup(Pba::new(pba), 16).is_hit() {
+                    hits += 1;
+                } else {
+                    tiered.admit(Pba::new(pba), 16);
                 }
             }
             black_box(hits)

@@ -593,8 +593,6 @@ fn run_profile(args: &Args) -> Result<String, CliError> {
     ))
 }
 
-/// Runs the daemon until a termination signal, then drains gracefully.
-
 /// `smrseek bench` replays `--ops` records (default 10 million — large
 /// enough that per-record overheads dominate any constant cost) of a
 /// deterministic mixed read/write workload through the NoLS baseline and
@@ -781,6 +779,7 @@ fn run_bench(args: &Args) -> Result<String, CliError> {
     ))
 }
 
+/// Runs the daemon until a termination signal, then drains gracefully.
 fn run_serve(args: &Args) -> Result<String, CliError> {
     let config = smrseek_server::ServerConfig {
         addr: args.addr.clone(),
@@ -1370,7 +1369,17 @@ fn run_experiment(args: &Args) -> Result<String, CliError> {
             let source = simulate_source(path, args.format, args.cache)?;
             let digest = source.digest().as_u128();
             let store = CheckpointStore::new(dir);
-            let matrix = RunMatrix::cross(&[source], &SimConfig::standard_sweep());
+            // A missing checkpoint is a cold start, but one that exists and
+            // fails to load is damaged input: name it instead of quietly
+            // replaying that cell from record zero.
+            let configs = SimConfig::standard_sweep();
+            for config in &configs {
+                let key = checkpoint_config_key(config, source.top_sector());
+                store.load(digest, &key).map_err(|e| {
+                    CliError::Parse(format!("{}: {e}", store.path_for(digest, &key).display()))
+                })?;
+            }
+            let matrix = RunMatrix::cross(&[source], &configs);
             let (outcomes, usage) = matrix.execute_checkpointed(args.threads, &store, digest);
             smrseek_obs::info!(
                 "resume: {} checkpoint hit(s), {} miss(es), {} record(s) skipped",

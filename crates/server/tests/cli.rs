@@ -573,6 +573,68 @@ fn snapshot_then_resume_matches_simulate_bytes() {
     std::fs::remove_dir_all(&ckpt).ok();
 }
 
+/// A checkpoint whose selective cache is internally inconsistent, in a
+/// container whose payload digest is valid, is refused with a typed
+/// error and the parse exit code. Loaded, it would replay on an index
+/// naming a slab slot that does not exist, and the first lookup near
+/// that range would panic.
+#[test]
+fn resume_refuses_a_checkpoint_with_a_corrupt_cache() {
+    use smrseek_snapshot::Snapshot;
+    let csv = tmp("corrupt_cache.csv");
+    let ckpt = tmp("corrupt_cache_ckpts");
+    std::fs::remove_dir_all(&ckpt).ok();
+    let out = smrseek(&["gen", "w91", "--ops", "900", "--out", csv.to_str().unwrap()]);
+    assert!(out.status.success());
+    let snap = smrseek(&[
+        "snapshot",
+        csv.to_str().unwrap(),
+        ckpt.to_str().unwrap(),
+        "--at",
+        "400",
+    ]);
+    assert!(snap.status.success());
+    let text = stdout(&snap);
+    let file = text
+        .lines()
+        .find_map(|l| l.trim().strip_prefix("LS+cache: "))
+        .expect("the LS+cache cell is checkpointed");
+
+    // Point the RAM tier's first indexed range at a slab slot that does
+    // not exist, then re-seal the container so only the cache is wrong.
+    let container = Snapshot::decode(&std::fs::read(file).unwrap()).expect("decodes");
+    let payload = String::from_utf8(container.payload.clone()).unwrap();
+    let at = payload
+        .find(r#""ram":{"by_start":{""#)
+        .expect("cache is populated")
+        + 19;
+    let colon = at + payload[at..].find(':').unwrap() + 1;
+    let digits = payload[colon..]
+        .find(|c: char| !c.is_ascii_digit())
+        .unwrap();
+    let broken = format!("{}999999{}", &payload[..colon], &payload[colon + digits..]);
+    let resealed = Snapshot::new(
+        container.trace_digest,
+        container.record_index,
+        container.config_key.clone(),
+        broken.into_bytes(),
+    );
+    std::fs::write(file, resealed.encode()).unwrap();
+
+    let resumed = smrseek(&["resume", csv.to_str().unwrap(), ckpt.to_str().unwrap()]);
+    let stderr = String::from_utf8_lossy(&resumed.stderr);
+    assert_eq!(resumed.status.code(), Some(65), "{stderr}");
+    assert!(
+        stderr.contains("snapshot payload does not deserialize")
+            && stderr.contains("invalid range cache")
+            && stderr.contains(file),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    std::fs::remove_file(&csv).ok();
+    std::fs::remove_dir_all(&ckpt).ok();
+}
+
 #[test]
 fn threads_flag_rejects_zero() {
     let out = smrseek(&["fig2", "--threads", "0"]);

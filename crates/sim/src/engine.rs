@@ -2123,10 +2123,7 @@ mod tests {
             Err(ConfigError::ZeroLongseekBucket)
         );
         assert_eq!(nols().zones(512).build(), Err(ConfigError::ZonesWithoutLs));
-        let empty_cache = CacheConfig {
-            capacity_bytes: 0,
-            ..CacheConfig::default()
-        };
+        let empty_cache = CacheConfig { capacity_bytes: 0 };
         assert_eq!(
             SimConfig::builder(SimConfig::ls_with(None, None, Some(empty_cache)).layer).build(),
             Err(ConfigError::ZeroSelectiveCache)
@@ -2532,8 +2529,7 @@ mod tests {
             let whole = serde_json::to_string(&Simulation::new(&config).run_trace(&trace))
                 .expect("report serializes");
             for split in [1usize, 77, 299] {
-                let mut state =
-                    EngineState::new(&config.clone().with_frontier_hint(trace.frontier_top()));
+                let mut state = EngineState::new(&config.with_frontier_hint(trace.frontier_top()));
                 for rec in &trace[..split] {
                     state.step(rec);
                 }
