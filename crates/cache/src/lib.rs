@@ -10,8 +10,14 @@
 //!   fragment it reads.
 //!
 //! Both are built on [`RangeCache`], an LRU-evicted set of sector ranges in
-//! PBA space with a byte budget. [`TieredCache`] stacks a simulated flash tier behind the RAM tier (demotion on RAM
-//! eviction, promotion on flash hit) for the adaptive policy subsystem.
+//! PBA space with a byte budget. Its ranges live in a slab threaded on an
+//! intrusive LRU list and are found through a two-level sorted index of
+//! `(start, node)` entries, the extent map's layout (DESIGN.md §20): a
+//! lookup or insert seeks once and walks in place, with no allocation
+//! beyond an occasional leaf split.
+//! [`TieredCache`] stacks a simulated flash tier behind the RAM tier
+//! (demotion on RAM eviction, promotion on flash hit) for the adaptive
+//! policy subsystem.
 //!
 //! # Example
 //!
